@@ -40,6 +40,7 @@ from .planning import (
     broadcast_cost,
     coverage_cost,
     perfect_cost,
+    plan_title,
     sweep_coverage,
     titles_by_popularity,
     traffic_vs_broadcast_ratio,
@@ -91,6 +92,7 @@ __all__ = [
     "parse_trace",
     "partition_cells",
     "perfect_cost",
+    "plan_title",
     "rank_title_visitors",
     "sweep_coverage",
     "titles_by_popularity",

@@ -9,18 +9,18 @@ import argparse
 import csv
 import json
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from .concentration import concentration_curve, geo_concentration_profile
 from .errors import UnknownIdError
-from .placement import estimate_target_cells, partition_cells
 from .planning import (
     CASE_ASSUMED_LOCATION,
     CASE_LIMITED_COVERAGE,
     CASE_PERFECT,
     DEFAULT_COVERAGE_GRID,
     DEFAULT_LIMITED_COVERAGE,
-    CostBreakdown,
+    plan_title,
     sweep_coverage,
     titles_by_popularity,
     traffic_vs_broadcast_ratio,
@@ -41,6 +41,10 @@ _GEN_INT_KEYS = ("n_users", "n_titles", "n_cells", "n_visits",
                  "max_cells_per_user", "seed")
 _GEN_FLOAT_KEYS = ("title_zipf_exponent", "user_zipf_exponent")
 _GEN_REQUIRED_KEYS = ("n_users", "n_titles", "n_cells", "n_visits")
+# Columns of breakdowns.csv, named as the CostBreakdown fields they hold.
+_BREAKDOWN_COLUMNS = ("title_id", "case", "coverage",
+                      "broadcast_transmissions", "missed_visits",
+                      "total_transmissions")
 
 
 def _float_list(text):
@@ -216,18 +220,19 @@ def _write_rows(outdir, stem, fmt, header, rows):
 
 def _handle_stats(args):
     dataset = parse_trace(args.input)
+    curves = {kind: concentration_curve(dataset, kind)
+              for kind in ("user", "title", "cell")}
+    profile = geo_concentration_profile(dataset, args.max_rank)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    for kind in ("user", "title", "cell"):
-        curve = concentration_curve(dataset, kind)
+    for kind, curve in curves.items():
         path = _write_rows(
             outdir, f"{kind}_curve", args.format,
             ("fraction", "share"), curve.points,
         )
         print(f"wrote {path}")
 
-    profile = geo_concentration_profile(dataset, args.max_rank)
     rows = [
         (rank, mean, cum)
         for rank, (mean, cum) in enumerate(
@@ -246,34 +251,12 @@ def _handle_stats(args):
 
 def _plan_rows(dataset, case, coverage):
     """Cost breakdown and partition-size rows for every title."""
+    breakdown_row = attrgetter(*_BREAKDOWN_COLUMNS)
     breakdown_rows = []
     partition_rows = []
     for title in titles_by_popularity(dataset):
-        if case == CASE_PERFECT:
-            estimated = frozenset(dataset.title_cell_visits[title])
-            row_coverage = 1.0
-        else:
-            row_coverage = 1.0 if case == CASE_ASSUMED_LOCATION else coverage
-            estimated = estimate_target_cells(dataset, title, row_coverage)
-        part = partition_cells(dataset, title, estimated)
-        breakdown = CostBreakdown(
-            title_id=title,
-            case=case,
-            coverage=row_coverage,
-            broadcast_transmissions=len(part.estimated),
-            missed_visits=part.missed_visits,
-            total_transmissions=len(part.estimated) + part.missed_visits,
-        )
-        breakdown_rows.append(
-            (
-                breakdown.title_id,
-                breakdown.case,
-                breakdown.coverage,
-                breakdown.broadcast_transmissions,
-                breakdown.missed_visits,
-                breakdown.total_transmissions,
-            )
-        )
+        breakdown, part = plan_title(dataset, title, case, coverage)
+        breakdown_rows.append(breakdown_row(breakdown))
         partition_rows.append(
             (
                 title,
@@ -291,15 +274,15 @@ def _plan_rows(dataset, case, coverage):
 def _handle_plan(args):
     dataset = parse_trace(args.input)
     case = MODE_CASES[args.mode]
+    curve = traffic_vs_broadcast_ratio(
+        dataset, case, args.ratio_grid, coverage=args.coverage
+    )
+    breakdown_rows, partition_rows = _plan_rows(dataset, case, args.coverage)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    breakdown_rows, partition_rows = _plan_rows(dataset, case, args.coverage)
     path = _write_rows(
-        outdir, "breakdowns", args.format,
-        ("title_id", "case", "coverage", "broadcast_transmissions",
-         "missed_visits", "total_transmissions"),
-        breakdown_rows,
+        outdir, "breakdowns", args.format, _BREAKDOWN_COLUMNS, breakdown_rows
     )
     print(f"wrote {path}")
     path = _write_rows(
@@ -310,9 +293,6 @@ def _handle_plan(args):
     )
     print(f"wrote {path}")
 
-    curve = traffic_vs_broadcast_ratio(
-        dataset, case, args.ratio_grid, coverage=args.coverage
-    )
     baseline = dataset.total_visits
     rows = [(p, total, total / baseline) for p, total in curve]
     path = _write_rows(
@@ -359,30 +339,25 @@ def _select_sweep_titles(dataset, titles_arg):
 
 def _handle_sweep(args):
     dataset = parse_trace(args.input)
+    sweeps = [
+        sweep_coverage(dataset, title, args.coverage_grid)
+        for title in _select_sweep_titles(dataset, args.titles)
+    ]
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    optima_rows = []
-    for title in _select_sweep_titles(dataset, args.titles):
-        sweep = sweep_coverage(dataset, title, args.coverage_grid)
+    for sweep in sweeps:
         path = _write_rows(
-            outdir, f"sweep_{title}", args.format,
+            outdir, f"sweep_{sweep.title_id}", args.format,
             ("coverage", "total_transmissions"),
             list(zip(sweep.grid, sweep.costs)),
         )
         print(f"wrote {path}")
-        optima_rows.append(
-            (
-                title,
-                sweep.optimal_coverage,
-                sweep.optimal_cost,
-                sweep.unicast_baseline,
-            )
-        )
     path = _write_rows(
         outdir, "sweep_optima", args.format,
         ("title_id", "optimal_coverage", "optimal_cost", "unicast_baseline"),
-        optima_rows,
+        [(s.title_id, s.optimal_coverage, s.optimal_cost, s.unicast_baseline)
+         for s in sweeps],
     )
     print(f"wrote {path}")
     return 0

@@ -7,6 +7,10 @@ Comparing the targeted (estimated) cell set against the cells where a
 title's visits actually happened partitions the cells into hits (targeted
 and visited), missing (visited but not targeted; those visits still go out
 as unicast), and mistaken (targeted but never visited; wasted broadcasts).
+
+Both per-user inputs come from indexes the dataset builds once:
+``user_top_cell`` (each user's most active cell) and ``user_rank`` (each
+user's position in descending activity order).
 """
 
 from dataclasses import dataclass
@@ -30,10 +34,9 @@ class CellPartition:
 def most_active_cell(dataset, user):
     """The user's cell with the most visits (ties by ascending cell id)."""
     try:
-        cells = dataset.user_cell_visits[user]
+        return dataset.user_top_cell[user]
     except KeyError:
         raise UnknownIdError("user", user) from None
-    return min(cells.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
 def rank_title_visitors(dataset, title):
@@ -46,8 +49,7 @@ def rank_title_visitors(dataset, title):
         visitors = dataset.title_users[title]
     except KeyError:
         raise UnknownIdError("title", title) from None
-    user_visits = dataset.user_visits
-    return sorted(visitors, key=lambda u: (-user_visits[u], u))
+    return sorted(visitors, key=dataset.user_rank.__getitem__)
 
 
 def estimate_target_cells(dataset, title, coverage):
@@ -74,7 +76,7 @@ def estimate_target_cells(dataset, title, coverage):
         raise ValueError(f"coverage must be in (0, 1], got {coverage}")
     ranked = rank_title_visitors(dataset, title)
     k = max(1, ceil_count(coverage, len(ranked)))
-    return frozenset(most_active_cell(dataset, u) for u in ranked[:k])
+    return frozenset(map(dataset.user_top_cell.__getitem__, ranked[:k]))
 
 
 def partition_cells(dataset, title, estimated):

@@ -13,13 +13,14 @@ With assumed locations every visitor is targeted in their most active
 cell.  With limited coverage only the most active fraction of the title's
 visitors is predicted and targeted; raising the coverage buys back missed
 visits at the price of more broadcast cells, and the total is generally
-U-shaped in coverage rather than monotone.
+U-shaped in coverage rather than monotone.  Every regime, the unicast
+baseline included, is costed by :func:`plan_title`.
 """
 
 from dataclasses import dataclass
 
 from .errors import UnknownIdError
-from .placement import estimate_target_cells, partition_cells, rank_title_visitors, most_active_cell
+from .placement import estimate_target_cells, partition_cells, rank_title_visitors
 from .rounding import ceil_count
 
 CASE_UNICAST = "unicast"
@@ -68,17 +69,50 @@ def unicast_cost(dataset, title):
         raise UnknownIdError("title", title) from None
 
 
+def _priced(dataset, title, estimated, case, coverage):
+    """Breakdown and partition of broadcasting ``title`` into ``estimated``.
+
+    One transmission per target cell, plus unicast for every visit in
+    cells the target set does not cover.
+    """
+    partition = partition_cells(dataset, title, estimated)
+    n_targets = len(partition.estimated)
+    breakdown = CostBreakdown(
+        title_id=title,
+        case=case,
+        coverage=coverage,
+        broadcast_transmissions=n_targets,
+        missed_visits=partition.missed_visits,
+        total_transmissions=n_targets + partition.missed_visits,
+    )
+    return breakdown, partition
+
+
+def plan_title(dataset, title, case, coverage):
+    """Breakdown and cell partition of one title under one regime.
+
+    ``case`` is :data:`CASE_UNICAST` (broadcast nothing) or one of
+    :data:`TRAFFIC_MODES`.  ``coverage`` is read only by limited coverage;
+    the breakdown records 0.0 for unicast and 1.0 for the other regimes.
+    Returns ``(CostBreakdown, CellPartition)``.
+    """
+    if case == CASE_UNICAST:
+        estimated, coverage = (), 0.0
+    elif case == CASE_PERFECT:
+        # An unknown title gets no cells here and fails in partition_cells.
+        estimated, coverage = dataset.title_cell_visits.get(title, ()), 1.0
+    elif case in (CASE_ASSUMED_LOCATION, CASE_LIMITED_COVERAGE):
+        if case == CASE_ASSUMED_LOCATION:
+            coverage = 1.0
+        estimated = estimate_target_cells(dataset, title, coverage)
+    else:
+        raise ValueError(f"unknown case: {case!r}")
+    return _priced(dataset, title, estimated, case, coverage)
+
+
 def unicast_breakdown(dataset, title):
     """The unicast baseline as a :class:`CostBreakdown` (no broadcasting)."""
-    visits = unicast_cost(dataset, title)
-    return CostBreakdown(
-        title_id=title,
-        case=CASE_UNICAST,
-        coverage=0.0,
-        broadcast_transmissions=0,
-        missed_visits=visits,
-        total_transmissions=visits,
-    )
+    return plan_title(dataset, title, CASE_UNICAST, 0.0)[0]
 
 
 def perfect_cost(dataset, title):
@@ -88,37 +122,13 @@ def perfect_cost(dataset, title):
     so the total is the number of distinct visited cells and never exceeds
     the unicast baseline.
     """
-    try:
-        n_cells = len(dataset.title_cell_visits[title])
-    except KeyError:
-        raise UnknownIdError("title", title) from None
-    return CostBreakdown(
-        title_id=title,
-        case=CASE_PERFECT,
-        coverage=1.0,
-        broadcast_transmissions=n_cells,
-        missed_visits=0,
-        total_transmissions=n_cells,
-    )
+    return plan_title(dataset, title, CASE_PERFECT, 1.0)[0]
 
 
 def broadcast_cost(dataset, title, target_cells, case=CASE_ASSUMED_LOCATION,
                    coverage=1.0):
-    """Cost of broadcasting one title into an arbitrary cell set.
-
-    One transmission per target cell, plus unicast for every visit in
-    cells the target set does not cover.
-    """
-    partition = partition_cells(dataset, title, target_cells)
-    n_targets = len(partition.estimated)
-    return CostBreakdown(
-        title_id=title,
-        case=case,
-        coverage=coverage,
-        broadcast_transmissions=n_targets,
-        missed_visits=partition.missed_visits,
-        total_transmissions=n_targets + partition.missed_visits,
-    )
+    """Cost of broadcasting one title into an arbitrary cell set."""
+    return _priced(dataset, title, target_cells, case, coverage)[0]
 
 
 def coverage_cost(dataset, title, coverage):
@@ -128,9 +138,8 @@ def coverage_cost(dataset, title, coverage):
     values restrict the broadcast to the most active fraction of the
     title's visitors.
     """
-    cells = estimate_target_cells(dataset, title, coverage)
     case = CASE_ASSUMED_LOCATION if coverage == 1.0 else CASE_LIMITED_COVERAGE
-    return broadcast_cost(dataset, title, cells, case=case, coverage=coverage)
+    return plan_title(dataset, title, case, coverage)[0]
 
 
 def _validate_fraction_grid(grid, name, low_open):
@@ -169,7 +178,7 @@ def sweep_coverage(dataset, title, grid=DEFAULT_COVERAGE_GRID):
     grid = tuple(grid)
     _validate_fraction_grid(grid, "coverage grid", low_open=True)
     ranked = rank_title_visitors(dataset, title)
-    target_cells = [most_active_cell(dataset, u) for u in ranked]
+    target_cells = list(map(dataset.user_top_cell.__getitem__, ranked))
     cell_counts = dataset.title_cell_visits[title]
     visits = dataset.title_visits[title]
 
@@ -234,23 +243,14 @@ def traffic_vs_broadcast_ratio(dataset, mode, ratios,
     if mode == CASE_LIMITED_COVERAGE and not 0 < coverage <= 1:
         raise ValueError(f"coverage must be in (0, 1], got {coverage}")
 
+    # Only the popularity prefix the largest ratio broadcasts is costed;
+    # prefix sums over it answer every ratio without re-costing titles.
     ordered = titles_by_popularity(dataset)
-    if mode == CASE_PERFECT:
-        def title_cost(t):
-            return len(dataset.title_cell_visits[t])
-    elif mode == CASE_ASSUMED_LOCATION:
-        def title_cost(t):
-            return coverage_cost(dataset, t, 1.0).total_transmissions
-    else:
-        def title_cost(t):
-            return coverage_cost(dataset, t, coverage).total_transmissions
-
-    # Prefix sums over the popularity order let every ratio be answered
-    # without re-costing titles.
     broadcast_prefix = [0]
     visit_prefix = [0]
-    for t in ordered:
-        broadcast_prefix.append(broadcast_prefix[-1] + title_cost(t))
+    for t in ordered[:ceil_count(ratios[-1], len(ordered))]:
+        cost = plan_title(dataset, t, mode, coverage)[0].total_transmissions
+        broadcast_prefix.append(broadcast_prefix[-1] + cost)
         visit_prefix.append(visit_prefix[-1] + dataset.title_visits[t])
 
     total_visits = dataset.total_visits

@@ -49,9 +49,12 @@ class VisitRecord:
 class TraceDataset:
     """Immutable record collection plus derived per-entity indexes.
 
-    All index maps are derived purely from ``records`` (insertion order
-    follows first appearance in the trace) and satisfy the conservation
-    identities checked by :func:`build_indexes`.
+    All index maps are derived purely from ``records``.  Besides the visit
+    counts, cell maps and visitor sets (insertion order follows first
+    appearance in the trace), two per-user indexes serve placement:
+    ``user_top_cell`` maps each user to their most visited cell (ties by
+    ascending cell id) and ``user_rank`` to their 0-based position in
+    descending activity order (ties by ascending user id).
     """
 
     records: tuple
@@ -60,6 +63,8 @@ class TraceDataset:
     title_users: dict = field(repr=False)
     user_visits: dict = field(repr=False)
     user_cell_visits: dict = field(repr=False)
+    user_top_cell: dict = field(repr=False)
+    user_rank: dict = field(repr=False)
     total_visits: int = 0
 
     @property
@@ -89,16 +94,22 @@ def build_indexes(records):
         If a record violates an invariant; the error names its index.
     """
     records = tuple(records)
+    for i, rec in enumerate(records):
+        problem = rec.problem()
+        if problem is not None:
+            raise RecordValidationError(i, problem)
+    return _index(records)
+
+
+def _index(records):
+    """:func:`build_indexes` for a tuple of records already validated."""
     title_visits = {}
     title_cell_visits = {}
     title_users = {}
     user_visits = {}
     user_cell_visits = {}
 
-    for i, rec in enumerate(records):
-        problem = rec.problem()
-        if problem is not None:
-            raise RecordValidationError(i, problem)
+    for rec in records:
         user, title, cell = rec.user_id, rec.title_id, rec.cell_id
 
         title_visits[title] = title_visits.get(title, 0) + 1
@@ -117,6 +128,7 @@ def build_indexes(records):
             ucells = user_cell_visits[user] = {}
         ucells[cell] = ucells.get(cell, 0) + 1
 
+    by_activity = sorted(user_visits, key=lambda u: (-user_visits[u], u))
     return TraceDataset(
         records=records,
         title_visits=title_visits,
@@ -124,6 +136,11 @@ def build_indexes(records):
         title_users={t: frozenset(u) for t, u in title_users.items()},
         user_visits=user_visits,
         user_cell_visits=user_cell_visits,
+        user_top_cell={
+            u: min(cells.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+            for u, cells in user_cell_visits.items()
+        },
+        user_rank={u: i for i, u in enumerate(by_activity)},
         total_visits=len(records),
     )
 
@@ -136,15 +153,16 @@ def _parse_identifier(line_no, name, value):
     return value
 
 
-def parse_trace(path, format="csv"):
+def parse_trace(path):
     """Read a trace file and return the indexed dataset.
+
+    Every field is validated here, so the records are indexed without the
+    second check :func:`build_indexes` makes.
 
     Parameters
     ----------
     path : str or Path
         Trace file to read.
-    format : {"csv"}
-        Only the comma-delimited format is supported.
 
     Returns
     -------
@@ -158,9 +176,6 @@ def parse_trace(path, format="csv"):
     EmptyTraceError
         File contains a header but zero records.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported trace format: {format!r}")
-
     records = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -196,7 +211,7 @@ def parse_trace(path, format="csv"):
 
     if not records:
         raise EmptyTraceError(f"{path}: trace contains zero records")
-    return build_indexes(records)
+    return _index(tuple(records))
 
 
 def write_trace(dataset, path):

@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+import oracle
 from prepush import parse_trace
 from prepush.cli import main
 
@@ -169,9 +171,30 @@ class TestPlan:
         assert header == ["title_id", "case", "coverage",
                           "broadcast_transmissions", "missed_visits",
                           "total_transmissions"]
-        assert len(rows) == parse_trace(trace).n_titles
-        for row in rows:
-            assert int(row[5]) == int(row[3]) + int(row[4])
+        records = parse_trace(trace).records
+        _, partitions = read_csv_rows(outdir / "partitions.csv")
+        assert len(rows) == len(partitions) == len(
+            oracle.titles_by_popularity(records))
+        case, coverage = {
+            "perfect": ("perfect", "1.0"),
+            "assumed": ("assumed_location", "1.0"),
+            "limited": ("limited_coverage", "0.2"),
+        }[mode]
+        for row, part_row in zip(rows, partitions):
+            title = row[0]
+            if mode == "perfect":
+                estimated = oracle.title_cell_counts(records, title)
+            else:
+                estimated = oracle.target_cells(records, title,
+                                                Fraction(coverage))
+            hit, missing, mistaken, missed = oracle.partition(
+                records, title, estimated)
+            actual = len(oracle.title_cell_counts(records, title))
+            assert row == [title, case, coverage, str(len(estimated)),
+                           str(missed), str(len(estimated) + missed)]
+            assert part_row == [title, str(len(estimated)), str(actual),
+                                str(len(hit)), str(len(missing)),
+                                str(len(mistaken)), str(missed)]
 
     def test_partition_identities_in_output(self, tmp_path):
         trace = gen_trace(tmp_path)
@@ -187,12 +210,19 @@ class TestPlan:
             assert hit + mistaken == estimated
 
     def test_bad_ratio_grid_exit_1(self, tmp_path, capsys):
+        # Arguments are checked before anything is written: a failing
+        # command leaves no output directory behind.
         trace = gen_trace(tmp_path)
-        code = run(["plan", "--input", str(trace),
-                    "--output", str(tmp_path / "plan"),
-                    "--ratio-grid", "0.9,0.1"])
-        assert code == 1
-        assert "increasing" in capsys.readouterr().err
+        for argv, message in (
+            (["plan", "--ratio-grid", "0.9,0.1"], "increasing"),
+            (["sweep", "--coverage-grid", "0.5,0.2"], "increasing"),
+            (["plan", "--mode", "limited", "--coverage", "1.5"], "coverage"),
+        ):
+            outdir = tmp_path / "out"
+            code = run([*argv, "--input", str(trace), "--output", str(outdir)])
+            assert code == 1
+            assert message in capsys.readouterr().err
+            assert not outdir.exists()
 
 
 class TestSweep:

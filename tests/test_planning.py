@@ -218,19 +218,25 @@ class TestTrafficCurve:
             assert all(b <= a for a, b in zip(totals, totals[1:]))
 
     def test_matches_oracle_all_modes(self):
-        ratios = [Fraction(k, 4) for k in range(5)]
+        # The second grid stops below 1, so only a popularity prefix of the
+        # titles is costed.
+        grids = ([Fraction(k, 4) for k in range(5)],
+                 [Fraction(k, 4) for k in range(3)])
         coverage = Fraction(1, 5)
         for seed in range(12):
             records = make_random_records(seeded_rng(1000 + seed))
             ds = build_indexes(records)
             for mode in (CASE_PERFECT, CASE_ASSUMED_LOCATION, CASE_LIMITED_COVERAGE):
-                curve = traffic_vs_broadcast_ratio(
-                    ds, mode, [float(r) for r in ratios], coverage=float(coverage)
-                )
-                for (p, total), ratio in zip(curve, ratios):
-                    assert total == oracle.traffic_total(
-                        records, mode, ratio, coverage=coverage
+                for ratios in grids:
+                    curve = traffic_vs_broadcast_ratio(
+                        ds, mode, [float(r) for r in ratios],
+                        coverage=float(coverage)
                     )
+                    assert len(curve) == len(ratios)
+                    for (p, total), ratio in zip(curve, ratios):
+                        assert total == oracle.traffic_total(
+                            records, mode, ratio, coverage=coverage
+                        )
 
     def test_mode_validated(self):
         with pytest.raises(ValueError):

@@ -87,11 +87,6 @@ class TestParse:
             parse_trace(path)
         assert exc.value.line_no == 2
 
-    def test_unsupported_format(self, tmp_path):
-        path = write_text(tmp_path, HEADER + "u1,t1,c1,\n")
-        with pytest.raises(ValueError):
-            parse_trace(path, format="tsv")
-
 
 class TestWrite:
     def test_roundtrip_with_timestamps(self, tmp_path):
