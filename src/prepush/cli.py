@@ -20,10 +20,11 @@ from .planning import (
     CASE_PERFECT,
     DEFAULT_COVERAGE_GRID,
     DEFAULT_LIMITED_COVERAGE,
+    _curve_ratios,
+    _traffic_curve,
     plan_title,
     sweep_coverage,
     titles_by_popularity,
-    traffic_vs_broadcast_ratio,
 )
 from .synth import SynthParams, generate
 from .trace import parse_trace, write_trace
@@ -274,10 +275,11 @@ def _plan_rows(dataset, case, coverage):
 def _handle_plan(args):
     dataset = parse_trace(args.input)
     case = MODE_CASES[args.mode]
-    curve = traffic_vs_broadcast_ratio(
-        dataset, case, args.ratio_grid, coverage=args.coverage
-    )
+    ratios = _curve_ratios(case, args.ratio_grid, args.coverage)
     breakdown_rows, partition_rows = _plan_rows(dataset, case, args.coverage)
+    # The rows are in popularity order, so their totals give the curve.
+    titles, *_, totals = zip(*breakdown_rows)
+    curve = _traffic_curve(dataset, titles, totals, ratios)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -75,7 +75,7 @@ def estimate_target_cells(dataset, title, coverage):
     if not 0 < coverage <= 1:
         raise ValueError(f"coverage must be in (0, 1], got {coverage}")
     ranked = rank_title_visitors(dataset, title)
-    k = max(1, ceil_count(coverage, len(ranked)))
+    k = ceil_count(coverage, len(ranked))
     return frozenset(map(dataset.user_top_cell.__getitem__, ranked[:k]))
 
 

@@ -18,6 +18,7 @@ baseline included, is costed by :func:`plan_title`.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import UnknownIdError
 from .placement import estimate_target_cells, partition_cells, rank_title_visitors
@@ -187,7 +188,7 @@ def sweep_coverage(dataset, title, grid=DEFAULT_COVERAGE_GRID):
     covered_visits = 0
     taken = 0
     for coverage in grid:
-        k = max(1, ceil_count(coverage, len(ranked)))
+        k = ceil_count(coverage, len(ranked))
         while taken < k:
             cell = target_cells[taken]
             taken += 1
@@ -196,7 +197,7 @@ def sweep_coverage(dataset, title, grid=DEFAULT_COVERAGE_GRID):
                 covered_visits += cell_counts.get(cell, 0)
         costs.append(len(estimated) + visits - covered_visits)
 
-    best = min(range(len(grid)), key=lambda i: (costs[i], i))
+    best = costs.index(min(costs))
     return CoverageSweep(
         title_id=title,
         grid=grid,
@@ -236,27 +237,39 @@ def traffic_vs_broadcast_ratio(dataset, mode, ratios,
     -------
     list of (ratio, total_transmissions)
     """
+    ratios = _curve_ratios(mode, ratios, coverage)
+    # Only the popularity prefix the largest ratio broadcasts is costed.
+    ordered = titles_by_popularity(dataset)
+    costs = [
+        plan_title(dataset, t, mode, coverage)[0].total_transmissions
+        for t in ordered[:ceil_count(ratios[-1], len(ordered))]
+    ]
+    return _traffic_curve(dataset, ordered, costs, ratios)
+
+
+def _curve_ratios(mode, ratios, coverage):
+    """Check the arguments of a traffic curve; return the ratios as a tuple."""
     if mode not in TRAFFIC_MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     ratios = tuple(ratios)
     _validate_fraction_grid(ratios, "ratio grid", low_open=False)
     if mode == CASE_LIMITED_COVERAGE and not 0 < coverage <= 1:
         raise ValueError(f"coverage must be in (0, 1], got {coverage}")
+    return ratios
 
-    # Only the popularity prefix the largest ratio broadcasts is costed;
-    # prefix sums over it answer every ratio without re-costing titles.
-    ordered = titles_by_popularity(dataset)
-    broadcast_prefix = [0]
-    visit_prefix = [0]
-    for t in ordered[:ceil_count(ratios[-1], len(ordered))]:
-        cost = plan_title(dataset, t, mode, coverage)[0].total_transmissions
-        broadcast_prefix.append(broadcast_prefix[-1] + cost)
-        visit_prefix.append(visit_prefix[-1] + dataset.title_visits[t])
 
-    total_visits = dataset.total_visits
+def _traffic_curve(dataset, ordered, costs, ratios):
+    """The traffic curve from the broadcast costs of the most popular titles.
+
+    ``ordered`` lists every title by popularity, and ``costs[i]`` is the
+    broadcast cost of ``ordered[i]``; it must cover every title the largest
+    ratio broadcasts.  Prefix sums answer every ratio at once.
+    """
+    broadcast = list(accumulate(costs, initial=0))
+    unicast = list(accumulate(
+        (dataset.title_visits[t] for t in ordered[:len(costs)]), initial=0))
     curve = []
     for p in ratios:
-        k = max(0, ceil_count(p, len(ordered)))
-        total = broadcast_prefix[k] + (total_visits - visit_prefix[k])
-        curve.append((p, total))
+        k = ceil_count(p, len(ordered))
+        curve.append((p, broadcast[k] + dataset.total_visits - unicast[k]))
     return curve

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import VisitRecord, build_indexes
+from .trace import _from_columns
 
 #: Expected visit share of a user's rank-k cell (k = 1..5); the remaining
 #: 4% is spread uniformly over the rest of the user's cells.
@@ -130,11 +130,8 @@ def generate(params):
     slot_draws = rng.choice(slots, size=params.n_visits, p=weights)
     cells = user_cells[users, slot_draws]
 
-    user_ids = _ids("u", params.n_users)
-    title_ids = _ids("t", params.n_titles)
-    cell_ids = _ids("c", params.n_cells)
-    records = [
-        VisitRecord(user_ids[u], title_ids[t], cell_ids[c])
-        for u, t, c in zip(users.tolist(), titles.tolist(), cells.tolist())
-    ]
-    return build_indexes(records)
+    return _from_columns(
+        (_ids("u", params.n_users), _ids("t", params.n_titles),
+         _ids("c", params.n_cells)),
+        users, titles, cells,
+    )

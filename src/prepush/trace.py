@@ -1,26 +1,52 @@
 """Visit-record data model, trace file I/O, and the indexed dataset.
 
 A trace is an ordered list of visit records (user, title, cell, optional
-timestamp).  ``TraceDataset`` adds the aggregations every other module
-consumes: per-title and per-user visit counts, per-title cell maps and
-visitor sets, and per-user cell histograms.  Datasets are immutable after
-construction and safe to share across threads; all analysis functions in
-this package are pure reads over them.
+timestamp).  ``TraceDataset`` stores it as integer code columns, with one
+vocabulary of identifiers per entity kind, and adds the aggregations every
+other module consumes: per-title and per-user visit counts, per-title cell
+maps and visitor sets, and per-user cell histograms.  One private builder
+derives every index with numpy over the code columns; :func:`parse_trace`,
+:func:`build_indexes` and ``synth.generate`` all feed it.  Datasets are
+immutable after construction and safe to share across threads; all
+analysis functions in this package are pure reads over them.
 
 Trace file format: UTF-8 text, one header line ``user_id,title_id,cell_id,
 timestamp``, comma-delimited rows, empty timestamp field allowed.
 Identifiers are restricted to ``[A-Za-z0-9_:-]+`` so no quoting is needed.
+The parser checks each block of about a megabyte with one regular
+expression and splits it in C.  From the first block the expression
+rejects to the end of the file it reads line by line with :mod:`csv`:
+that path still accepts the odd rows :mod:`csv` and ``int`` accept
+(quoted fields, CRLF line ends, ``+5`` timestamps), and it is the only
+place a parse error is raised.
 """
 
 import csv
+import io
+import itertools
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
+
+import numpy as np
 
 from .errors import EmptyTraceError, RecordValidationError, TraceFormatError
 
 TRACE_HEADER = ("user_id", "title_id", "cell_id", "timestamp")
 
 _IDENT_RE = re.compile(r"[A-Za-z0-9_:-]+\Z")
+_HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
+_ID_FIELDS = TRACE_HEADER[:3]
+#: Rows the fast path reads; a timestamp of at most 18 digits fits int64.
+_ROWS_RE = re.compile(r"(?:[A-Za-z0-9_:-]+,[A-Za-z0-9_:-]+,[A-Za-z0-9_:-]+,"
+                      r"[0-9]{0,18}\n)*")
+#: Characters per block the parser reads, and rows per block it collects
+#: on the per-line path or write_trace formats.
+_CHUNK_CHARS = 1 << 20
+_CHUNK_ROWS = 1 << 16
+#: The timestamp column's value for a visit without a timestamp.
+_NO_TIMESTAMP = -1
+_MAX_TIMESTAMP = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,22 +68,32 @@ class VisitRecord:
             return "empty cell_id"
         if self.timestamp is not None and self.timestamp < 0:
             return f"negative timestamp {self.timestamp}"
+        if self.timestamp is not None and self.timestamp > _MAX_TIMESTAMP:
+            return f"timestamp {self.timestamp} out of range"
         return None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class TraceDataset:
-    """Immutable record collection plus derived per-entity indexes.
+    """Immutable visit columns plus derived per-entity indexes.
 
-    All index maps are derived purely from ``records``.  Besides the visit
-    counts, cell maps and visitor sets (insertion order follows first
-    appearance in the trace), two per-user indexes serve placement:
-    ``user_top_cell`` maps each user to their most visited cell (ties by
-    ascending cell id) and ``user_rank`` to their 0-based position in
-    descending activity order (ties by ascending user id).
+    The visits are three int32 code columns (user, title, cell) and an
+    int64 timestamp column in which -1 stands for "no timestamp".  A code
+    indexes its kind's vocabulary of identifiers, numbered in order of
+    first appearance in the trace, so equal record sequences give equal
+    columns, and ``==`` compares two datasets' records that way.
+    ``records`` is a read-only tuple of :class:`VisitRecord`, built from
+    the columns on first use and then kept.
+
+    All index maps are derived purely from the columns.  Their keys, and
+    the keys of the per-title and per-user cell maps, follow first
+    appearance in the trace.  Besides the visit counts, cell maps and
+    visitor sets, two per-user indexes serve placement: ``user_top_cell``
+    maps each user to their most visited cell (ties by ascending cell id)
+    and ``user_rank`` to their 0-based position in descending activity
+    order (ties by ascending user id).
     """
 
-    records: tuple
     title_visits: dict = field(repr=False)
     title_cell_visits: dict = field(repr=False)
     title_users: dict = field(repr=False)
@@ -65,7 +101,12 @@ class TraceDataset:
     user_cell_visits: dict = field(repr=False)
     user_top_cell: dict = field(repr=False)
     user_rank: dict = field(repr=False)
-    total_visits: int = 0
+    total_visits: int
+    #: User, title and cell identifiers, each an object array by code.
+    _vocabularies: tuple = field(repr=False)
+    #: User, title and cell codes and timestamps, one entry per visit.
+    _columns: tuple = field(repr=False)
+    _records: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n_titles(self):
@@ -74,6 +115,159 @@ class TraceDataset:
     @property
     def n_users(self):
         return len(self.user_visits)
+
+    @property
+    def records(self):
+        """The visits in trace order, as a tuple of :class:`VisitRecord`."""
+        if self._records is None:
+            *codes, stamps = self._columns
+            ids = [v[c].tolist() for v, c in zip(self._vocabularies, codes)]
+            given = stamps.astype(object)
+            given[stamps == _NO_TIMESTAMP] = None
+            object.__setattr__(self, "_records",
+                               tuple(map(VisitRecord, *ids, given.tolist())))
+        return self._records
+
+    def __eq__(self, other):
+        if not isinstance(other, TraceDataset):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b)
+            for a, b in zip(self._vocabularies + self._columns,
+                            other._vocabularies + other._columns)
+        )
+
+
+class _Columns:
+    """Code columns collected block by block for :func:`_from_columns`."""
+
+    def __init__(self):
+        self.codes = ({}, {}, {})
+        self.blocks = ([], [], [], [])
+
+    def add(self, users, titles, cells, timestamps):
+        """Append one block: three lists of identifiers and an int64 array
+        of timestamps (:data:`_NO_TIMESTAMP` where missing)."""
+        for codes, blocks, ids in zip(self.codes, self.blocks,
+                                      (users, titles, cells)):
+            for ident in dict.fromkeys(ids):
+                codes.setdefault(ident, len(codes))
+            blocks.append(np.fromiter(map(codes.__getitem__, ids), np.int32,
+                                      len(ids)))
+        self.blocks[3].append(timestamps)
+
+    def build(self):
+        """The dataset; the blocks are released before it is built."""
+        columns = [np.concatenate(b) if b else np.zeros(0, np.int64)
+                   for b in self.blocks]
+        self.blocks = None
+        return _from_columns([list(c) for c in self.codes], *columns)
+
+
+def _first_appearance(ids, codes):
+    """Renumber ``codes`` in order of first appearance.
+
+    Returns the identifiers of the codes in use, in their new order, as an
+    object array, and the renumbered int32 codes.
+    """
+    n = len(codes)
+    first = np.full(len(ids), n, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(n))
+    used = np.flatnonzero(first < n)
+    order = used[np.argsort(first[used])]
+    renumber = np.zeros(len(ids), dtype=np.int32)
+    renumber[order] = np.arange(len(order), dtype=np.int32)
+    vocabulary = np.empty(len(order), dtype=object)
+    vocabulary[:] = [ids[k] for k in order.tolist()]
+    return vocabulary, renumber[codes]
+
+
+def _pairs(outer, inner, n_outer, n_inner):
+    """Distinct (outer, inner) code pairs and their visit counts.
+
+    Pairs are grouped by outer code, each group in order of first
+    appearance.  Returns ``(bounds, inner_codes, counts)``, where group
+    ``k`` is the slice ``bounds[k]:bounds[k + 1]``.
+    """
+    keys, pair, counts = np.unique(outer.astype(np.int64) * n_inner + inner,
+                                   return_inverse=True, return_counts=True)
+    first = np.full(len(keys), len(outer), dtype=np.int64)
+    np.minimum.at(first, pair, np.arange(len(outer)))
+    groups = keys // n_inner
+    order = np.argsort(groups * len(outer) + first)
+    bounds = np.zeros(n_outer + 1, dtype=np.int64)
+    np.cumsum(np.bincount(groups, minlength=n_outer), out=bounds[1:])
+    return bounds.tolist(), (keys % n_inner)[order], counts[order]
+
+
+def _id_ranks(vocabulary):
+    """Each code's position in ascending identifier order."""
+    ids = vocabulary.tolist()
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
+def _cell_maps(keys, bounds, cells, counts):
+    """``{keys[k]: {cell: count}}`` over the pairs of each group ``k``."""
+    return {key: dict(zip(cells[a:b], counts[a:b]))
+            for key, a, b in zip(keys, bounds, bounds[1:])}
+
+
+def _from_columns(vocabularies, users, titles, cells, timestamps=None):
+    """The one dataset builder: every index from the code columns.
+
+    ``vocabularies`` holds the user, title and cell identifiers indexed by
+    the codes in ``users``, ``titles`` and ``cells``.  Any numbering will
+    do: codes are renumbered in order of first appearance, and identifiers
+    no visit uses are dropped.  ``timestamps`` is an int64 column with
+    :data:`_NO_TIMESTAMP` for a missing value, or None if no visit has
+    one.
+    """
+    (user_ids, users), (title_ids, titles), (cell_ids, cells) = (
+        _first_appearance(ids, codes)
+        for ids, codes in zip(vocabularies, (users, titles, cells)))
+    if timestamps is None or (timestamps == _NO_TIMESTAMP).all():
+        # One shared value stands for a whole column without timestamps.
+        timestamps = np.broadcast_to(np.int64(_NO_TIMESTAMP), len(users))
+    n_users, n_titles, n_cells = len(user_ids), len(title_ids), len(cell_ids)
+    user_names, title_names = user_ids.tolist(), title_ids.tolist()
+
+    user_counts = np.bincount(users, minlength=n_users)
+    user_rank = np.empty(n_users, dtype=np.int64)
+    user_rank[np.lexsort((_id_ranks(user_ids), -user_counts))] = (
+        np.arange(n_users))
+
+    tc_bounds, tc_cells, tc_counts = _pairs(titles, cells, n_titles, n_cells)
+    uc_bounds, uc_cells, uc_counts = _pairs(users, cells, n_users, n_cells)
+    tu_bounds, tu_users, _ = _pairs(titles, users, n_titles, n_users)
+    # Sorted by user, then descending count, then ascending cell id, the
+    # first pair of each user's group holds the user's most active cell.
+    uc_users = np.repeat(np.arange(n_users), np.diff(uc_bounds))
+    top = np.lexsort((_id_ranks(cell_ids)[uc_cells], -uc_counts, uc_users))
+    top_cells = cell_ids[uc_cells[top[uc_bounds[:-1]]]]
+    visitors = user_ids[tu_users].tolist()
+
+    return TraceDataset(
+        title_visits=dict(zip(
+            title_names, np.bincount(titles, minlength=n_titles).tolist())),
+        title_cell_visits=_cell_maps(
+            title_names, tc_bounds, cell_ids[tc_cells].tolist(),
+            tc_counts.tolist()),
+        title_users={
+            title: frozenset(visitors[a:b])
+            for title, a, b in zip(title_names, tu_bounds, tu_bounds[1:])
+        },
+        user_visits=dict(zip(user_names, user_counts.tolist())),
+        user_cell_visits=_cell_maps(
+            user_names, uc_bounds, cell_ids[uc_cells].tolist(),
+            uc_counts.tolist()),
+        user_top_cell=dict(zip(user_names, top_cells.tolist())),
+        user_rank=dict(zip(user_names, user_rank.tolist())),
+        total_visits=len(users),
+        _vocabularies=(user_ids, title_ids, cell_ids),
+        _columns=(users, titles, cells, timestamps),
+    )
 
 
 def build_indexes(records):
@@ -98,51 +292,26 @@ def build_indexes(records):
         problem = rec.problem()
         if problem is not None:
             raise RecordValidationError(i, problem)
-    return _index(records)
-
-
-def _index(records):
-    """:func:`build_indexes` for a tuple of records already validated."""
-    title_visits = {}
-    title_cell_visits = {}
-    title_users = {}
-    user_visits = {}
-    user_cell_visits = {}
-
-    for rec in records:
-        user, title, cell = rec.user_id, rec.title_id, rec.cell_id
-
-        title_visits[title] = title_visits.get(title, 0) + 1
-        cells = title_cell_visits.get(title)
-        if cells is None:
-            cells = title_cell_visits[title] = {}
-        cells[cell] = cells.get(cell, 0) + 1
-        users = title_users.get(title)
-        if users is None:
-            users = title_users[title] = set()
-        users.add(user)
-
-        user_visits[user] = user_visits.get(user, 0) + 1
-        ucells = user_cell_visits.get(user)
-        if ucells is None:
-            ucells = user_cell_visits[user] = {}
-        ucells[cell] = ucells.get(cell, 0) + 1
-
-    by_activity = sorted(user_visits, key=lambda u: (-user_visits[u], u))
-    return TraceDataset(
-        records=records,
-        title_visits=title_visits,
-        title_cell_visits=title_cell_visits,
-        title_users={t: frozenset(u) for t, u in title_users.items()},
-        user_visits=user_visits,
-        user_cell_visits=user_cell_visits,
-        user_top_cell={
-            u: min(cells.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-            for u, cells in user_cell_visits.items()
-        },
-        user_rank={u: i for i, u in enumerate(by_activity)},
-        total_visits=len(records),
+    columns = _Columns()
+    columns.add(
+        *(list(map(attrgetter(name), records)) for name in _ID_FIELDS),
+        np.array([_NO_TIMESTAMP if r.timestamp is None else r.timestamp
+                  for r in records], dtype=np.int64),
     )
+    return columns.build()
+
+
+def _add_rows(columns, rows):
+    """Append the rows of text :data:`_ROWS_RE` matched."""
+    fields = rows.replace("\n", ",").split(",")
+    end = len(fields) - 1
+    stamps = fields[3:end:4]
+    column = np.full(len(stamps), _NO_TIMESTAMP, dtype=np.int64)
+    if any(stamps):
+        stamps = np.array(stamps)
+        given = stamps != ""
+        column[given] = stamps[given].astype(np.int64)
+    columns.add(fields[0:end:4], fields[1:end:4], fields[2:end:4], column)
 
 
 def _parse_identifier(line_no, name, value):
@@ -153,11 +322,80 @@ def _parse_identifier(line_no, name, value):
     return value
 
 
+def _parse_timestamp(line_no, text):
+    if text == "":
+        return _NO_TIMESTAMP
+    try:
+        timestamp = int(text)
+    except ValueError:
+        raise TraceFormatError(
+            line_no, f"non-integer timestamp {text!r}"
+        ) from None
+    if timestamp < 0:
+        raise TraceFormatError(line_no, f"negative timestamp {timestamp}")
+    if timestamp > _MAX_TIMESTAMP:
+        raise TraceFormatError(line_no, f"timestamp {timestamp} out of range")
+    return timestamp
+
+
+def _add_lines(columns, lines, lines_before, path):
+    """The per-line path: read ``lines`` with :mod:`csv`, check every field
+    and append the rows.
+
+    ``lines_before`` counts the file's lines ahead of ``lines``; when it is
+    0, ``lines`` starts with the header.
+    """
+    reader = csv.reader(lines)
+    if lines_before == 0:
+        header = next(reader, None)
+        if header is None:
+            raise EmptyTraceError(f"{path}: empty trace file")
+        if tuple(header) != TRACE_HEADER:
+            raise TraceFormatError(1, f"bad header {header!r}")
+    block = ([], [], [], [])
+    for row in reader:
+        line_no = lines_before + reader.line_num
+        if len(row) != 4:
+            raise TraceFormatError(
+                line_no, f"expected 4 fields, got {len(row)}"
+            )
+        for name, value, ids in zip(_ID_FIELDS, row, block):
+            ids.append(_parse_identifier(line_no, name, value))
+        block[3].append(_parse_timestamp(line_no, row[3]))
+        if len(block[3]) == _CHUNK_ROWS:
+            columns.add(*block[:3], np.array(block[3], dtype=np.int64))
+            block = ([], [], [], [])
+    columns.add(*block[:3], np.array(block[3], dtype=np.int64))
+
+
+def _add_blocks(columns, handle, path):
+    """The fast path: the rows after the header, a block at a time, until
+    the end of the file or the first block :data:`_ROWS_RE` rejects."""
+    lines_before = 1
+    pending = ""
+    while True:
+        text = handle.read(_CHUNK_CHARS)
+        block = pending + text
+        cut = block.rfind("\n") + 1 if text else len(block)
+        block, pending = block[:cut], block[cut:]
+        if block:
+            rows = block if block.endswith("\n") else block + "\n"
+            if not _ROWS_RE.fullmatch(rows):
+                # Complete the pending line, so the csv reader goes on from
+                # the handle at a line boundary.
+                head = io.StringIO(block + pending + handle.readline(),
+                                   newline="")
+                _add_lines(columns, itertools.chain(head, handle),
+                           lines_before, path)
+                return
+            _add_rows(columns, rows)
+            lines_before += rows.count("\n")
+        if not text:
+            return
+
+
 def parse_trace(path):
     """Read a trace file and return the indexed dataset.
-
-    Every field is validated here, so the records are indexed without the
-    second check :func:`build_indexes` makes.
 
     Parameters
     ----------
@@ -176,42 +414,18 @@ def parse_trace(path):
     EmptyTraceError
         File contains a header but zero records.
     """
-    records = []
+    columns = _Columns()
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyTraceError(f"{path}: empty trace file")
-        if tuple(header) != TRACE_HEADER:
-            raise TraceFormatError(1, f"bad header {header!r}")
-        for row in reader:
-            line_no = reader.line_num
-            if len(row) != 4:
-                raise TraceFormatError(
-                    line_no, f"expected 4 fields, got {len(row)}"
-                )
-            user, title, cell, ts_text = row
-            user = _parse_identifier(line_no, "user_id", user)
-            title = _parse_identifier(line_no, "title_id", title)
-            cell = _parse_identifier(line_no, "cell_id", cell)
-            if ts_text == "":
-                timestamp = None
-            else:
-                try:
-                    timestamp = int(ts_text)
-                except ValueError:
-                    raise TraceFormatError(
-                        line_no, f"non-integer timestamp {ts_text!r}"
-                    ) from None
-                if timestamp < 0:
-                    raise TraceFormatError(
-                        line_no, f"negative timestamp {timestamp}"
-                    )
-            records.append(VisitRecord(user, title, cell, timestamp))
-
-    if not records:
+        header = handle.readline()
+        if header == _HEADER_LINE:
+            _add_blocks(columns, handle, path)
+        else:
+            head = io.StringIO(header, newline="")
+            _add_lines(columns, itertools.chain(head, handle), 0, path)
+    dataset = columns.build()
+    if not dataset.total_visits:
         raise EmptyTraceError(f"{path}: trace contains zero records")
-    return _index(tuple(records))
+    return dataset
 
 
 def write_trace(dataset, path):
@@ -219,23 +433,37 @@ def write_trace(dataset, path):
 
     ``parse_trace(write_trace(d))`` reproduces ``d``.  Raises
     :class:`EmptyTraceError` for a zero-record dataset and ValueError for
-    identifiers outside the file format's character set.
+    identifiers outside the file format's character set; either is raised
+    before the file is opened.
     """
-    if not dataset.records:
+    if not dataset.total_visits:
         raise EmptyTraceError("refusing to write a zero-record trace")
+    # Each vocabulary entry is checked once.  Codes number identifiers in
+    # order of first appearance, so a kind's lowest bad code is the first
+    # bad one in its column.
+    found = []
+    for kind, (name, ids, codes) in enumerate(
+            zip(_ID_FIELDS, dataset._vocabularies, dataset._columns)):
+        bad = next((code for code, ident in enumerate(ids.tolist())
+                    if not _IDENT_RE.match(ident)), None)
+        if bad is not None:
+            found.append((int(np.argmax(codes == bad)), kind,
+                          f"{name} {ids[bad]!r}"))
+    if found:
+        index, _, what = min(found)
+        raise ValueError(
+            f"record {index}: {what} not writable as [A-Za-z0-9_:-]+"
+        )
+    *codes, stamps = dataset._columns
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for i, rec in enumerate(dataset.records):
-            for name, value in (
-                ("user_id", rec.user_id),
-                ("title_id", rec.title_id),
-                ("cell_id", rec.cell_id),
-            ):
-                if not _IDENT_RE.match(value):
-                    raise ValueError(
-                        f"record {i}: {name} {value!r} not writable as "
-                        "[A-Za-z0-9_:-]+"
-                    )
-            ts_text = "" if rec.timestamp is None else str(rec.timestamp)
-            writer.writerow((rec.user_id, rec.title_id, rec.cell_id, ts_text))
+        handle.write(_HEADER_LINE)
+        for start in range(0, dataset.total_visits, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            ids = [v[c[rows]].tolist()
+                   for v, c in zip(dataset._vocabularies, codes)]
+            given = stamps[rows]
+            texts = np.full(len(given), "", dtype=object)
+            has = given != _NO_TIMESTAMP
+            texts[has] = given[has].astype(str)
+            handle.write("\n".join(map(",".join, zip(*ids, texts.tolist()))))
+            handle.write("\n")

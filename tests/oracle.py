@@ -3,20 +3,38 @@
 Every function here recomputes its answer by scanning a raw record list,
 never by consulting TraceDataset indexes or the library's own helpers, so
 the tests compare two genuinely separate paths.  Fractions of counts are
-resolved with exact rational arithmetic (`fractions.Fraction`), which the
-library's nudged float floor/ceil must agree with.
+resolved with exact rational arithmetic (`fractions.Fraction`).  A float
+stands for the simplest fraction whose nearest double it is: 0.1 is
+exactly 1/10 (its decimal value) and 1/3 is one third, not the binary
+value of either double.  A Fraction stands for itself.
 """
 
+import math
 from fractions import Fraction
+
+#: Largest denominator :func:`as_fraction` searches.
+MAX_DENOMINATOR = 10**6
+
+
+def as_fraction(fraction):
+    """``fraction`` as an exact Fraction, found by trying denominators."""
+    if isinstance(fraction, Fraction):
+        return fraction
+    for q in range(1, MAX_DENOMINATOR + 1):
+        for p in (math.floor(fraction * q), math.ceil(fraction * q)):
+            if p / q == fraction:
+                return Fraction(p, q)
+    raise AssertionError(f"{fraction!r} is no fraction of denominator "
+                         f"<= {MAX_DENOMINATOR}")
 
 
 def exact_ceil(fraction, n):
-    m = Fraction(fraction) * n
+    m = as_fraction(fraction) * n
     return -((-m.numerator) // m.denominator)
 
 
 def exact_floor(fraction, n):
-    m = Fraction(fraction) * n
+    m = as_fraction(fraction) * n
     return m.numerator // m.denominator
 
 

@@ -196,6 +196,25 @@ class TestPlan:
                                 str(len(hit)), str(len(missing)),
                                 str(len(mistaken)), str(missed)]
 
+    @pytest.mark.parametrize("mode", ["perfect", "assumed", "limited"])
+    def test_traffic_curve_matches_oracle(self, tmp_path, mode):
+        trace = gen_trace(tmp_path)
+        outdir = tmp_path / f"plan_{mode}"
+        grid = "0,0.1,0.25,0.5,0.9,1.0"
+        code = run(["plan", "--input", str(trace), "--output", str(outdir),
+                    "--mode", mode, "--ratio-grid", grid])
+        assert code == 0
+        _, rows = read_csv_rows(outdir / "traffic_curve.csv")
+        records = parse_trace(trace).records
+        case = {"perfect": "perfect", "assumed": "assumed_location",
+                "limited": "limited_coverage"}[mode]
+        want = [oracle.traffic_total(records, case, Fraction(p),
+                                     Fraction("0.2"))
+                for p in grid.split(",")]
+        assert [int(row[1]) for row in rows] == want
+        assert [row[0] for row in rows] == [repr(float(p))
+                                            for p in grid.split(",")]
+
     def test_partition_identities_in_output(self, tmp_path):
         trace = gen_trace(tmp_path)
         outdir = tmp_path / "plan"

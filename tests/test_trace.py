@@ -15,6 +15,7 @@ from prepush import (
     parse_trace,
     write_trace,
 )
+from prepush.trace import _CHUNK_CHARS
 
 HEADER = "user_id,title_id,cell_id,timestamp\n"
 
@@ -87,6 +88,110 @@ class TestParse:
             parse_trace(path)
         assert exc.value.line_no == 2
 
+    def test_timestamp_range_is_int64(self, tmp_path):
+        top = 2**63 - 1
+        path = write_text(tmp_path, HEADER + f"u1,t1,c1,{top}\n")
+        assert parse_trace(path).records[0].timestamp == top
+        path = write_text(tmp_path, HEADER + f"u1,t1,c1,\nu1,t1,c1,{top + 1}\n")
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace(path)
+        assert str(exc.value) == f"line 3: timestamp {top + 1} out of range"
+
+    def test_records_built_once(self, tmp_path):
+        path = write_text(tmp_path, HEADER + "u1,t1,c1,\nu2,t1,c2,17\n")
+        ds = parse_trace(path)
+        assert ds.records is ds.records
+        assert ds.records == (VisitRecord("u1", "t1", "c1"),
+                              VisitRecord("u2", "t1", "c2", 17))
+
+
+def block_lines():
+    """Plain trace rows of more than one parse block, one string each."""
+    lines, size, i = [], len(HEADER), 0
+    while size <= 1.2 * _CHUNK_CHARS:
+        line = f"user{i % 997:03d},title{i % 499:03d},cell{i % 61:02d},{i}\n"
+        lines.append(line)
+        size += len(line)
+        i += 1
+    return lines
+
+
+def boundary_row(lines):
+    """Index of the row that straddles the end of the first parse block."""
+    offset = 0
+    for i, line in enumerate(lines):
+        offset += len(line)
+        if offset > _CHUNK_CHARS:
+            return i
+    raise AssertionError("trace fits in one block")
+
+
+ODD_FORMS = {
+    "quoted": lambda u, t, c, ts: f'"{u}",{t},"{c}",{ts}\n',
+    "crlf": lambda u, t, c, ts: f"{u},{t},{c},{ts}\r\n",
+    "plus": lambda u, t, c, ts: f"{u},{t},{c},+{ts}\n",
+    "space": lambda u, t, c, ts: f"{u},{t},{c}, {ts}\n",
+}
+
+
+class TestParseBlocks:
+    """Traces of more than one parse block: the fast path and the per-line
+    path it hands over to."""
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        return block_lines()
+
+    @pytest.fixture(scope="class")
+    def plain(self, lines, tmp_path_factory):
+        path = tmp_path_factory.mktemp("plain") / "trace.csv"
+        path.write_text(HEADER + "".join(lines), encoding="utf-8")
+        return parse_trace(path)
+
+    def test_bad_row_after_first_block(self, tmp_path, lines):
+        bad = len(lines) - 10
+        assert len("".join(lines[:bad])) > _CHUNK_CHARS
+        odd = lines[:bad] + ["user1,title1,cell 1,5\n"] + lines[bad + 1:]
+        path = write_text(tmp_path, HEADER + "".join(odd))
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace(path)
+        assert exc.value.line_no == bad + 2
+        assert str(exc.value) == f"line {bad + 2}: invalid cell_id 'cell 1'"
+
+    def test_bad_row_after_odd_row(self, tmp_path, lines):
+        # The CRLF row sends the first block to the per-line path, which
+        # must count every line up to the bad row in the next block.
+        bad = len(lines) - 10
+        odd = list(lines)
+        odd[5] = odd[5].replace("\n", "\r\n")
+        odd[bad] = "user1,title1,cell1,soon\n"
+        path = write_text(tmp_path, HEADER + "".join(odd))
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace(path)
+        assert exc.value.line_no == bad + 2
+        assert "non-integer timestamp 'soon'" in str(exc.value)
+
+    @pytest.mark.parametrize("form", sorted(ODD_FORMS))
+    @pytest.mark.parametrize("where", ["before_boundary", "at_boundary", "last"])
+    def test_odd_rows_parse_as_plain(self, tmp_path, lines, plain, form, where):
+        at = {"before_boundary": boundary_row(lines) - 1,
+              "at_boundary": boundary_row(lines),
+              "last": len(lines) - 1}[where]
+        odd = list(lines)
+        odd[at] = ODD_FORMS[form](*odd[at].rstrip("\n").split(","))
+        path = write_text(tmp_path, HEADER + "".join(odd))
+        assert parse_trace(path) == plain
+
+    def test_crlf_file_parses_as_plain(self, tmp_path, lines, plain):
+        text = (HEADER + "".join(lines)).replace("\n", "\r\n")
+        path = tmp_path / "trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert parse_trace(path) == plain
+
+    def test_no_final_newline(self, tmp_path, lines, plain):
+        path = write_text(tmp_path, HEADER + "".join(lines).rstrip("\n"))
+        assert parse_trace(path) == plain
+
 
 class TestWrite:
     def test_roundtrip_with_timestamps(self, tmp_path):
@@ -132,6 +237,49 @@ class TestWrite:
         ds = build_indexes([VisitRecord("u,1", "t1", "c1")])
         with pytest.raises(ValueError):
             write_trace(ds, tmp_path / "out.csv")
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ([("u1", "t1", "c1"), ("u2", "t 2", "c1"), ("u,3", "t1", "c1"),
+              ("u2", "t 2", "c 1")],
+             "record 1: title_id 't 2'"),
+            ([("u1", "t1", "c1"), ("u 2", "t1", "c 2"), ("u 3", "t 3", "c1")],
+             "record 1: user_id 'u 2'"),
+            ([("u 1", "t1", "c1"), ("u2", "t1", "c1"), ("u2", "t1", "c 1")],
+             "record 0: user_id 'u 1'"),
+            ([("u1", "t1", "c1"), ("u2", "t1", "c\n2"), ("u 1", "t1", "c1")],
+             "record 1: cell_id 'c\\n2'"),
+        ],
+    )
+    def test_error_names_first_bad_record(self, tmp_path, records, message):
+        ds = build_indexes(VisitRecord(*r) for r in records)
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError) as exc:
+            write_trace(ds, path)
+        assert str(exc.value) == f"{message} not writable as [A-Za-z0-9_:-]+"
+        assert not path.exists()
+
+    def test_generate_roundtrip_over_blocks(self, tmp_path):
+        params = SynthParams(n_users=300, n_titles=200, n_cells=40,
+                             n_visits=80_000, seed=5)
+        path = tmp_path / "out.csv"
+        write_trace(generate(params), path)
+        assert path.stat().st_size > _CHUNK_CHARS
+        assert parse_trace(path) == generate(params)
+
+    def test_equality_is_record_equality(self):
+        records = make_random_records(seeded_rng(8), with_timestamps=True)
+        ds = build_indexes(records)
+        assert ds == build_indexes(list(records))
+        assert ds != build_indexes(records[::-1])
+        assert ds != build_indexes(records[:-1])
+        changed = list(records)
+        last = changed[-1]
+        changed[-1] = VisitRecord(last.user_id, last.title_id, last.cell_id,
+                                  1 + (last.timestamp or 0))
+        assert ds != build_indexes(changed)
+        assert ds != records
 
 
 class TestBuildIndexes:
@@ -190,6 +338,50 @@ class TestBuildIndexes:
         once = build_indexes(records)
         again = build_indexes(once.records)
         assert once == again
+
+
+def first_appearance_maps(records):
+    """Outer key order of every index, and inner cell-map key order, as
+    first appearance in ``records``."""
+    titles, users, title_cells, user_cells = {}, {}, {}, {}
+    for r in records:
+        titles.setdefault(r.title_id, None)
+        users.setdefault(r.user_id, None)
+        title_cells.setdefault(r.title_id, {}).setdefault(r.cell_id, None)
+        user_cells.setdefault(r.user_id, {}).setdefault(r.cell_id, None)
+    return list(titles), list(users), title_cells, user_cells
+
+
+def assert_first_appearance_order(ds, records):
+    titles, users, title_cells, user_cells = first_appearance_maps(records)
+    for index in (ds.title_visits, ds.title_cell_visits, ds.title_users):
+        assert list(index) == titles
+    for index in (ds.user_visits, ds.user_cell_visits, ds.user_top_cell,
+                  ds.user_rank):
+        assert list(index) == users
+    for title, cells in ds.title_cell_visits.items():
+        assert list(cells) == list(title_cells[title])
+    for user, cells in ds.user_cell_visits.items():
+        assert list(cells) == list(user_cells[user])
+
+
+class TestKeyOrder:
+    def test_build_indexes(self):
+        records = make_random_records(seeded_rng(21))
+        assert_first_appearance_order(build_indexes(records), records)
+
+    def test_parse_trace(self, tmp_path):
+        records = make_random_records(seeded_rng(22), with_timestamps=True)
+        path = tmp_path / "out.csv"
+        write_trace(build_indexes(records), path)
+        assert_first_appearance_order(parse_trace(path), records)
+
+    def test_generate(self):
+        ds = generate(SynthParams(n_users=120, n_titles=90, n_cells=30,
+                                  n_visits=3_000, seed=23))
+        # Identifiers encode rank, so first appearance is not id order.
+        assert list(ds.user_visits) != sorted(ds.user_visits)
+        assert_first_appearance_order(ds, ds.records)
 
 
 record_ids = st.integers(min_value=1, max_value=6)
