@@ -20,9 +20,9 @@ from .planning import (
     CASE_PERFECT,
     DEFAULT_COVERAGE_GRID,
     DEFAULT_LIMITED_COVERAGE,
+    _cost,
     _curve_ratios,
     _traffic_curve,
-    plan_title,
     sweep_coverage,
     titles_by_popularity,
 )
@@ -251,24 +251,21 @@ def _handle_stats(args):
 
 
 def _plan_rows(dataset, case, coverage):
-    """Cost breakdown and partition-size rows for every title."""
+    """Cost breakdown and partition-size rows for every title.
+
+    The partition sizes follow from the counts: the estimated cells hit
+    or were mistaken, the actual cells hit or were missing.
+    """
     breakdown_row = attrgetter(*_BREAKDOWN_COLUMNS)
     breakdown_rows = []
     partition_rows = []
     for title in titles_by_popularity(dataset):
-        breakdown, part = plan_title(dataset, title, case, coverage)
+        breakdown, hits = _cost(dataset, title, case, coverage)
+        estimated = breakdown.broadcast_transmissions
+        actual = len(dataset.title_cell_visits[title])
         breakdown_rows.append(breakdown_row(breakdown))
-        partition_rows.append(
-            (
-                title,
-                len(part.estimated),
-                len(part.actual),
-                len(part.hit),
-                len(part.missing),
-                len(part.mistaken),
-                part.missed_visits,
-            )
-        )
+        partition_rows.append((title, estimated, actual, hits, actual - hits,
+                               estimated - hits, breakdown.missed_visits))
     return breakdown_rows, partition_rows
 
 

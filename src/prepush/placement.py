@@ -10,13 +10,15 @@ as unicast), and mistaken (targeted but never visited; wasted broadcasts).
 
 Both per-user inputs come from indexes the dataset builds once:
 ``user_top_cell`` (each user's most active cell) and ``user_rank`` (each
-user's position in descending activity order).
+user's position in descending activity order).  The dataset also keeps
+each title's visitors in that order, and the cells they bring in as a
+first-target table, so ranking is a slice and targeting is one binary
+search (``TraceDataset._targeting``).
 """
 
 from dataclasses import dataclass
 
 from .errors import UnknownIdError
-from .rounding import ceil_count
 
 
 @dataclass(frozen=True)
@@ -45,11 +47,7 @@ def rank_title_visitors(dataset, title):
     Activity is the user's total visit count across all titles; ties break
     by ascending user id.
     """
-    try:
-        visitors = dataset.title_users[title]
-    except KeyError:
-        raise UnknownIdError("title", title) from None
-    return sorted(visitors, key=dataset.user_rank.__getitem__)
+    return dataset._ranked_visitors(title)
 
 
 def estimate_target_cells(dataset, title, coverage):
@@ -74,9 +72,8 @@ def estimate_target_cells(dataset, title, coverage):
     """
     if not 0 < coverage <= 1:
         raise ValueError(f"coverage must be in (0, 1], got {coverage}")
-    ranked = rank_title_visitors(dataset, title)
-    k = ceil_count(coverage, len(ranked))
-    return frozenset(map(dataset.user_top_cell.__getitem__, ranked[:k]))
+    n_cells, _, _ = dataset._targeting(title, coverage)
+    return dataset._target_cells(title, n_cells)
 
 
 def partition_cells(dataset, title, estimated):

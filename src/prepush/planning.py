@@ -13,15 +13,22 @@ With assumed locations every visitor is targeted in their most active
 cell.  With limited coverage only the most active fraction of the title's
 visitors is predicted and targeted; raising the coverage buys back missed
 visits at the price of more broadcast cells, and the total is generally
-U-shaped in coverage rather than monotone.  Every regime, the unicast
-baseline included, is costed by :func:`plan_title`.
+U-shaped in coverage rather than monotone.
+
+Every regime, the unicast baseline included, is costed by one dispatch
+from counts alone: unicast, assumed location and limited coverage target
+a prefix of the title's visitors ranked by activity (none, all, or the
+most active fraction), and each prefix is costed by one binary search of
+the dataset's first-target table.  Only :func:`plan_title` also builds the
+cell sets of a :class:`~prepush.placement.CellPartition`.
 """
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add, lt
 
 from .errors import UnknownIdError
-from .placement import estimate_target_cells, partition_cells, rank_title_visitors
+from .placement import partition_cells
 from .rounding import ceil_count
 
 CASE_UNICAST = "unicast"
@@ -70,23 +77,40 @@ def unicast_cost(dataset, title):
         raise UnknownIdError("title", title) from None
 
 
-def _priced(dataset, title, estimated, case, coverage):
-    """Breakdown and partition of broadcasting ``title`` into ``estimated``.
-
-    One transmission per target cell, plus unicast for every visit in
-    cells the target set does not cover.
-    """
-    partition = partition_cells(dataset, title, estimated)
-    n_targets = len(partition.estimated)
-    breakdown = CostBreakdown(
+def _breakdown(title, case, coverage, broadcast, missed):
+    return CostBreakdown(
         title_id=title,
         case=case,
         coverage=coverage,
-        broadcast_transmissions=n_targets,
-        missed_visits=partition.missed_visits,
-        total_transmissions=n_targets + partition.missed_visits,
+        broadcast_transmissions=broadcast,
+        missed_visits=missed,
+        total_transmissions=broadcast + missed,
     )
-    return breakdown, partition
+
+
+def _cost(dataset, title, case, coverage):
+    """The one regime dispatch: ``(CostBreakdown, hits)`` of one title.
+
+    ``hits`` counts the broadcast cells the title was visited in.  See
+    :func:`plan_title` for ``case`` and ``coverage``.
+    """
+    if case == CASE_PERFECT:
+        try:
+            n_cells = len(dataset.title_cell_visits[title])
+        except KeyError:
+            raise UnknownIdError("title", title) from None
+        return _breakdown(title, case, 1.0, n_cells, 0), n_cells
+    if case == CASE_UNICAST:
+        coverage = 0.0
+    elif case == CASE_ASSUMED_LOCATION:
+        coverage = 1.0
+    elif case == CASE_LIMITED_COVERAGE:
+        if not 0 < coverage <= 1:
+            raise ValueError(f"coverage must be in (0, 1], got {coverage}")
+    else:
+        raise ValueError(f"unknown case: {case!r}")
+    broadcast, hits, missed = dataset._targeting(title, coverage)
+    return _breakdown(title, case, coverage, broadcast, missed), hits
 
 
 def plan_title(dataset, title, case, coverage):
@@ -97,23 +121,18 @@ def plan_title(dataset, title, case, coverage):
     the breakdown records 0.0 for unicast and 1.0 for the other regimes.
     Returns ``(CostBreakdown, CellPartition)``.
     """
-    if case == CASE_UNICAST:
-        estimated, coverage = (), 0.0
-    elif case == CASE_PERFECT:
-        # An unknown title gets no cells here and fails in partition_cells.
-        estimated, coverage = dataset.title_cell_visits.get(title, ()), 1.0
-    elif case in (CASE_ASSUMED_LOCATION, CASE_LIMITED_COVERAGE):
-        if case == CASE_ASSUMED_LOCATION:
-            coverage = 1.0
-        estimated = estimate_target_cells(dataset, title, coverage)
+    breakdown, _ = _cost(dataset, title, case, coverage)
+    if case == CASE_PERFECT:
+        estimated = dataset.title_cell_visits[title]
     else:
-        raise ValueError(f"unknown case: {case!r}")
-    return _priced(dataset, title, estimated, case, coverage)
+        estimated = dataset._target_cells(
+            title, breakdown.broadcast_transmissions)
+    return breakdown, partition_cells(dataset, title, estimated)
 
 
 def unicast_breakdown(dataset, title):
     """The unicast baseline as a :class:`CostBreakdown` (no broadcasting)."""
-    return plan_title(dataset, title, CASE_UNICAST, 0.0)[0]
+    return _cost(dataset, title, CASE_UNICAST, 0.0)[0]
 
 
 def perfect_cost(dataset, title):
@@ -123,13 +142,15 @@ def perfect_cost(dataset, title):
     so the total is the number of distinct visited cells and never exceeds
     the unicast baseline.
     """
-    return plan_title(dataset, title, CASE_PERFECT, 1.0)[0]
+    return _cost(dataset, title, CASE_PERFECT, 1.0)[0]
 
 
 def broadcast_cost(dataset, title, target_cells, case=CASE_ASSUMED_LOCATION,
                    coverage=1.0):
     """Cost of broadcasting one title into an arbitrary cell set."""
-    return _priced(dataset, title, target_cells, case, coverage)[0]
+    partition = partition_cells(dataset, title, target_cells)
+    return _breakdown(title, case, coverage, len(partition.estimated),
+                      partition.missed_visits)
 
 
 def coverage_cost(dataset, title, coverage):
@@ -140,16 +161,17 @@ def coverage_cost(dataset, title, coverage):
     title's visitors.
     """
     case = CASE_ASSUMED_LOCATION if coverage == 1.0 else CASE_LIMITED_COVERAGE
-    return plan_title(dataset, title, case, coverage)[0]
+    return _cost(dataset, title, case, coverage)[0]
 
 
 def _validate_fraction_grid(grid, name, low_open):
+    # Positive comparisons, so that NaN fails each of them.
     if len(grid) == 0:
         raise ValueError(f"{name} must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if not all(map(lt, grid, grid[1:])):
         raise ValueError(f"{name} must be strictly increasing")
     lo, hi = grid[0], grid[-1]
-    if (lo <= 0 if low_open else lo < 0) or hi > 1:
+    if not ((0 < lo if low_open else 0 <= lo) and hi <= 1):
         bound = "(0, 1]" if low_open else "[0, 1]"
         raise ValueError(f"{name} values must lie in {bound}")
 
@@ -172,37 +194,20 @@ def sweep_coverage(dataset, title, grid=DEFAULT_COVERAGE_GRID):
 
     Notes
     -----
-    The grid is walked incrementally (the target user prefix only grows
-    with coverage), which keeps a full sweep linear in the title's visitor
-    count instead of quadratic.
+    Each grid point targets a prefix of the title's ranked visitors, and
+    one binary search of the dataset's first-target table costs every
+    grid point at once, with no work per visitor.
     """
     grid = tuple(grid)
     _validate_fraction_grid(grid, "coverage grid", low_open=True)
-    ranked = rank_title_visitors(dataset, title)
-    target_cells = list(map(dataset.user_top_cell.__getitem__, ranked))
-    cell_counts = dataset.title_cell_visits[title]
-    visits = dataset.title_visits[title]
-
-    costs = []
-    estimated = set()
-    covered_visits = 0
-    taken = 0
-    for coverage in grid:
-        k = ceil_count(coverage, len(ranked))
-        while taken < k:
-            cell = target_cells[taken]
-            taken += 1
-            if cell not in estimated:
-                estimated.add(cell)
-                covered_visits += cell_counts.get(cell, 0)
-        costs.append(len(estimated) + visits - covered_visits)
-
+    broadcast, _, missed = dataset._targeting(title, grid)
+    costs = tuple(map(add, broadcast, missed))
     best = costs.index(min(costs))
     return CoverageSweep(
         title_id=title,
         grid=grid,
-        costs=tuple(costs),
-        unicast_baseline=visits,
+        costs=costs,
+        unicast_baseline=dataset.title_visits[title],
         optimal_coverage=grid[best],
         optimal_cost=costs[best],
     )
@@ -210,7 +215,7 @@ def sweep_coverage(dataset, title, grid=DEFAULT_COVERAGE_GRID):
 
 def titles_by_popularity(dataset):
     """All titles sorted by descending visit count, ties by ascending id."""
-    return sorted(dataset.title_visits, key=lambda t: (-dataset.title_visits[t], t))
+    return list(dataset._popularity)
 
 
 def traffic_vs_broadcast_ratio(dataset, mode, ratios,
@@ -241,7 +246,7 @@ def traffic_vs_broadcast_ratio(dataset, mode, ratios,
     # Only the popularity prefix the largest ratio broadcasts is costed.
     ordered = titles_by_popularity(dataset)
     costs = [
-        plan_title(dataset, t, mode, coverage)[0].total_transmissions
+        _cost(dataset, t, mode, coverage)[0].total_transmissions
         for t in ordered[:ceil_count(ratios[-1], len(ordered))]
     ]
     return _traffic_curve(dataset, ordered, costs, ratios)

@@ -12,6 +12,7 @@ the visiting user's personal cell distribution, fixed at user creation.
 Exponents and the per-rank cell-share profile are parameters, not fits.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,16 @@ class SynthParams:
         for name in ("n_users", "n_titles", "n_cells", "n_visits"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("title_zipf_exponent", "user_zipf_exponent"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.title_zipf_exponent <= 0 or self.user_zipf_exponent <= 0:
             raise ValueError("zipf exponents must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         profile = self.geo_profile
+        if not all(map(math.isfinite, profile)):
+            raise ValueError("geo_profile entries must be finite")
         if any(w < 0 for w in profile):
             raise ValueError("geo_profile entries must be non-negative")
         if any(a < b for a, b in zip(profile, profile[1:])):

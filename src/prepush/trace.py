@@ -4,7 +4,8 @@ A trace is an ordered list of visit records (user, title, cell, optional
 timestamp).  ``TraceDataset`` stores it as integer code columns, with one
 vocabulary of identifiers per entity kind, and adds the aggregations every
 other module consumes: per-title and per-user visit counts, per-title cell
-maps and visitor sets, and per-user cell histograms.  One private builder
+maps, per-user cell histograms, and each title's visitors ranked by
+activity with the cells targeting them brings in.  One private builder
 derives every index with numpy over the code columns; :func:`parse_trace`,
 :func:`build_indexes` and ``synth.generate`` all feed it.  Datasets are
 immutable after construction and safe to share across threads; all
@@ -25,12 +26,19 @@ import csv
 import io
 import itertools
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
 
-from .errors import EmptyTraceError, RecordValidationError, TraceFormatError
+from .errors import (
+    EmptyTraceError,
+    RecordValidationError,
+    TraceFormatError,
+    UnknownIdError,
+)
+from .rounding import ceil_count
 
 TRACE_HEADER = ("user_id", "title_id", "cell_id", "timestamp")
 
@@ -87,16 +95,27 @@ class TraceDataset:
 
     All index maps are derived purely from the columns.  Their keys, and
     the keys of the per-title and per-user cell maps, follow first
-    appearance in the trace.  Besides the visit counts, cell maps and
-    visitor sets, two per-user indexes serve placement: ``user_top_cell``
-    maps each user to their most visited cell (ties by ascending cell id)
-    and ``user_rank`` to their 0-based position in descending activity
-    order (ties by ascending user id).
+    appearance in the trace.  Besides the visit counts and cell maps, two
+    per-user indexes serve placement: ``user_top_cell`` maps each user to
+    their most visited cell (ties by ascending cell id) and ``user_rank``
+    to their 0-based position in descending activity order (ties by
+    ascending user id).
+
+    Placement and planning read two private indexes of integer arrays
+    instead of sets of identifiers.  The *ranked index* holds each title's distinct visitors
+    as user codes, most active first.  The *first-target table* holds, for
+    each title, one entry per distinct target cell (a visitor's most
+    active cell): the position in the ranked index at which the cell first
+    appears, its code, and running sums of hit cells (cells the title was
+    visited in) and of the visits those cells cover.  Targeting a title's
+    first k ranked visitors is then one binary search; see
+    :meth:`_targeting`.  ``title_users`` maps each title to the frozenset
+    of its visitors; it is built from the ranked index on first use and
+    then kept.
     """
 
     title_visits: dict = field(repr=False)
     title_cell_visits: dict = field(repr=False)
-    title_users: dict = field(repr=False)
     user_visits: dict = field(repr=False)
     user_cell_visits: dict = field(repr=False)
     user_top_cell: dict = field(repr=False)
@@ -106,7 +125,21 @@ class TraceDataset:
     _vocabularies: tuple = field(repr=False)
     #: User, title and cell codes and timestamps, one entry per visit.
     _columns: tuple = field(repr=False)
+    #: Title identifier to title code.
+    _title_codes: dict = field(repr=False)
+    #: Title identifiers by descending visit count, ties by ascending id.
+    _popularity: tuple = field(repr=False)
+    #: The ranked index ``(bounds, users)``: title code k's visitors are
+    #: ``users[bounds[k]:bounds[k + 1]]``, most active first.
+    _ranked: tuple = field(repr=False)
+    #: The first-target table ``(bounds, first, cells, hits, covered)``:
+    #: title code k's entries are ``bounds[k]:bounds[k + 1]``; ``first``
+    #: is the ranked-index position at which ``cells`` first appears, and
+    #: ``hits[i]`` and ``covered[i]`` sum the hit cells and the covered
+    #: visits of entries before i.
+    _targets: tuple = field(repr=False)
     _records: tuple | None = field(default=None, init=False, repr=False)
+    _title_users: dict | None = field(default=None, init=False, repr=False)
 
     @property
     def n_titles(self):
@@ -128,6 +161,62 @@ class TraceDataset:
                                tuple(map(VisitRecord, *ids, given.tolist())))
         return self._records
 
+    @property
+    def title_users(self):
+        """Each title's distinct visitors, as a frozenset of user ids."""
+        if self._title_users is None:
+            bounds, users = self._ranked
+            names = self._vocabularies[0][users].tolist()
+            object.__setattr__(self, "_title_users", {
+                title: frozenset(names[a:b]) for title, a, b in
+                zip(self._vocabularies[1].tolist(), bounds, bounds[1:])
+            })
+        return self._title_users
+
+    def _title_code(self, title):
+        try:
+            return self._title_codes[title]
+        except KeyError:
+            raise UnknownIdError("title", title) from None
+
+    def _ranked_visitors(self, title):
+        """The title's distinct visitors, most active first."""
+        code = self._title_code(title)
+        bounds, users = self._ranked
+        return self._vocabularies[0][
+            users[bounds[code]:bounds[code + 1]]].tolist()
+
+    def _targeting(self, title, coverage):
+        """Cost of targeting the most active ``coverage`` of the title's
+        visitors, each in their most active cell.
+
+        A coverage targets the first ``k = ceil(coverage * n)`` of the
+        title's ``n`` ranked visitors; coverage 0 targets none.  Their
+        cells are the table entries first reached before position k, so
+        one binary search answers any number of coverages.  Returns the
+        number of target cells, how many of them the title was visited in
+        (hits), and the title's visits in no target cell: each an int for
+        one coverage, or a list with one entry per coverage for a tuple.
+        """
+        code = self._title_code(title)
+        start, stop = self._ranked[0][code:code + 2]
+        if isinstance(coverage, tuple):
+            k = np.array([ceil_count(c, stop - start) for c in coverage])
+        else:
+            k = ceil_count(coverage, stop - start)
+        bounds, first, _, hits, covered = self._targets
+        top = bounds[code]
+        end = first.searchsorted(start + k)
+        return ((end - top).tolist(), (hits[end] - hits[top]).tolist(),
+                (self.title_visits[title] - covered[end]
+                 + covered[top]).tolist())
+
+    def _target_cells(self, title, n_cells):
+        """The title's first ``n_cells`` target cells, as a frozenset."""
+        top = self._targets[0][self._title_code(title)]
+        cells = self._targets[2][top:top + n_cells]
+        return frozenset(self._vocabularies[2][cells].tolist())
+
     def __eq__(self, other):
         if not isinstance(other, TraceDataset):
             return NotImplemented
@@ -142,16 +231,18 @@ class _Columns:
     """Code columns collected block by block for :func:`_from_columns`."""
 
     def __init__(self):
-        self.codes = ({}, {}, {})
+        self.codes = (defaultdict(), defaultdict(), defaultdict())
+        for codes in self.codes:
+            codes.default_factory = codes.__len__
         self.blocks = ([], [], [], [])
 
     def add(self, users, titles, cells, timestamps):
         """Append one block: three lists of identifiers and an int64 array
         of timestamps (:data:`_NO_TIMESTAMP` where missing)."""
+        # A missing identifier gets the next code on lookup, so one pass
+        # numbers new identifiers in order of first appearance.
         for codes, blocks, ids in zip(self.codes, self.blocks,
                                       (users, titles, cells)):
-            for ident in dict.fromkeys(ids):
-                codes.setdefault(ident, len(codes))
             blocks.append(np.fromiter(map(codes.__getitem__, ids), np.int32,
                                       len(ids)))
         self.blocks[3].append(timestamps)
@@ -182,22 +273,43 @@ def _first_appearance(ids, codes):
     return vocabulary, renumber[codes]
 
 
+def _bounds(groups, n_groups):
+    """CSR bounds, as a list, of items grouped by ascending group code."""
+    bounds = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(groups, minlength=n_groups), out=bounds[1:])
+    return bounds.tolist()
+
+
+def _distinct(keys):
+    """The distinct values of a non-negative int64 array, ascending.
+
+    Returns ``(values, first, counts)``: each value's index of first
+    appearance in ``keys`` and its number of occurrences.
+    """
+    order = keys.argsort()
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return (keys[starts], np.minimum.reduceat(order, starts),
+            np.diff(starts, append=len(keys)))
+
+
 def _pairs(outer, inner, n_outer, n_inner):
     """Distinct (outer, inner) code pairs and their visit counts.
 
     Pairs are grouped by outer code, each group in order of first
-    appearance.  Returns ``(bounds, inner_codes, counts)``, where group
-    ``k`` is the slice ``bounds[k]:bounds[k + 1]``.
+    appearance.  Returns ``(bounds, inner_codes, counts, keys,
+    key_counts)``, where group ``k`` is the slice ``bounds[k]:bounds[k +
+    1]``; ``keys`` holds the pair keys ``outer * n_inner + inner`` in
+    ascending order and ``key_counts`` their counts.
     """
-    keys, pair, counts = np.unique(outer.astype(np.int64) * n_inner + inner,
-                                   return_inverse=True, return_counts=True)
-    first = np.full(len(keys), len(outer), dtype=np.int64)
-    np.minimum.at(first, pair, np.arange(len(outer)))
+    keys = outer.astype(np.int64)
+    keys *= n_inner
+    keys += inner
+    keys, first, counts = _distinct(keys)
     groups = keys // n_inner
     order = np.argsort(groups * len(outer) + first)
-    bounds = np.zeros(n_outer + 1, dtype=np.int64)
-    np.cumsum(np.bincount(groups, minlength=n_outer), out=bounds[1:])
-    return bounds.tolist(), (keys % n_inner)[order], counts[order]
+    return (_bounds(groups, n_outer), (keys % n_inner)[order], counts[order],
+            keys, counts)
 
 
 def _id_ranks(vocabulary):
@@ -234,39 +346,68 @@ def _from_columns(vocabularies, users, titles, cells, timestamps=None):
     user_names, title_names = user_ids.tolist(), title_ids.tolist()
 
     user_counts = np.bincount(users, minlength=n_users)
+    by_rank = np.lexsort((_id_ranks(user_ids), -user_counts))
     user_rank = np.empty(n_users, dtype=np.int64)
-    user_rank[np.lexsort((_id_ranks(user_ids), -user_counts))] = (
-        np.arange(n_users))
+    user_rank[by_rank] = np.arange(n_users)
+    title_counts = np.bincount(titles, minlength=n_titles)
+    popularity = title_ids[np.lexsort((_id_ranks(title_ids), -title_counts))]
 
-    tc_bounds, tc_cells, tc_counts = _pairs(titles, cells, n_titles, n_cells)
-    uc_bounds, uc_cells, uc_counts = _pairs(users, cells, n_users, n_cells)
-    tu_bounds, tu_users, _ = _pairs(titles, users, n_titles, n_users)
+    # The ranked index: one sort of (title, user rank) keys, deduplicated.
+    keys = titles.astype(np.int64)
+    keys *= n_users
+    keys += user_rank[users]
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    ranked_users = by_rank[keys % n_users].astype(np.int32)
+    ranked_titles = keys // n_users
+    del keys
+
+    uc_bounds, uc_cells, uc_counts, *_ = _pairs(users, cells, n_users,
+                                                n_cells)
     # Sorted by user, then descending count, then ascending cell id, the
     # first pair of each user's group holds the user's most active cell.
     uc_users = np.repeat(np.arange(n_users), np.diff(uc_bounds))
     top = np.lexsort((_id_ranks(cell_ids)[uc_cells], -uc_counts, uc_users))
-    top_cells = cell_ids[uc_cells[top[uc_bounds[:-1]]]]
-    visitors = user_ids[tu_users].tolist()
+    top_cells = uc_cells[top[uc_bounds[:-1]]]
+    tc_bounds, tc_cells, tc_counts, tc_keys, tc_key_counts = _pairs(
+        titles, cells, n_titles, n_cells)
+
+    # The first-target table: each (title, target cell) pair at the first
+    # ranked position it appears at, with the visits the cell covers (0
+    # where the title was never visited in it).
+    pairs = ranked_titles * n_cells + top_cells[ranked_users]
+    first = np.sort(_distinct(pairs)[1])
+    pairs = pairs[first]
+    at = tc_keys.searchsorted(pairs).clip(max=len(tc_keys) - 1)
+    covers = np.where(tc_keys[at] == pairs, tc_key_counts[at], 0)
+    hits = np.zeros(len(first) + 1, dtype=np.int32)
+    np.cumsum(covers > 0, out=hits[1:])
+    covered = np.zeros(len(first) + 1, dtype=np.int64)
+    np.cumsum(covers, out=covered[1:])
+    # The dictionaries below set the build's peak: free what they do not
+    # read before they are built.
+    del tc_keys, tc_key_counts, pairs, at, covers
 
     return TraceDataset(
-        title_visits=dict(zip(
-            title_names, np.bincount(titles, minlength=n_titles).tolist())),
+        title_visits=dict(zip(title_names, title_counts.tolist())),
         title_cell_visits=_cell_maps(
             title_names, tc_bounds, cell_ids[tc_cells].tolist(),
             tc_counts.tolist()),
-        title_users={
-            title: frozenset(visitors[a:b])
-            for title, a, b in zip(title_names, tu_bounds, tu_bounds[1:])
-        },
         user_visits=dict(zip(user_names, user_counts.tolist())),
         user_cell_visits=_cell_maps(
             user_names, uc_bounds, cell_ids[uc_cells].tolist(),
             uc_counts.tolist()),
-        user_top_cell=dict(zip(user_names, top_cells.tolist())),
+        user_top_cell=dict(zip(user_names, cell_ids[top_cells].tolist())),
         user_rank=dict(zip(user_names, user_rank.tolist())),
         total_visits=len(users),
         _vocabularies=(user_ids, title_ids, cell_ids),
         _columns=(users, titles, cells, timestamps),
+        _title_codes=dict(zip(title_names, range(n_titles))),
+        _popularity=tuple(popularity.tolist()),
+        _ranked=(_bounds(ranked_titles, n_titles), ranked_users),
+        _targets=(_bounds(ranked_titles[first], n_titles), first,
+                  top_cells[ranked_users[first]].astype(np.int32), hits,
+                  covered),
     )
 
 

@@ -99,6 +99,22 @@ class TestGen:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--geo-profile", "nan", "geo_profile entries must be finite"),
+        ("--geo-profile", "0.5,inf", "geo_profile entries must be finite"),
+        ("--title-zipf-exponent", "nan", "title_zipf_exponent must be finite"),
+        ("--user-zipf-exponent", "inf", "user_zipf_exponent must be finite"),
+    ])
+    def test_non_finite_params_exit_1(self, tmp_path, capsys, flag, value,
+                                      message):
+        output = tmp_path / "out" / "t.csv"
+        code = run(["gen", "--output", str(output), "--n-users", "20",
+                    "--n-titles", "20", "--n-cells", "20", "--n-visits", "50",
+                    flag, value])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not output.parent.exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         a = gen_trace(tmp_path, seed=7, name="a.csv")
         b = gen_trace(tmp_path, seed=7, name="b.csv")
@@ -236,6 +252,10 @@ class TestPlan:
             (["plan", "--ratio-grid", "0.9,0.1"], "increasing"),
             (["sweep", "--coverage-grid", "0.5,0.2"], "increasing"),
             (["plan", "--mode", "limited", "--coverage", "1.5"], "coverage"),
+            (["plan", "--ratio-grid", "0,nan"],
+             "ratio grid must be strictly increasing"),
+            (["sweep", "--coverage-grid", "0.1,nan"],
+             "coverage grid must be strictly increasing"),
         ):
             outdir = tmp_path / "out"
             code = run([*argv, "--input", str(trace), "--output", str(outdir)])

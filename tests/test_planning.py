@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -17,14 +18,18 @@ from prepush import (
     broadcast_cost,
     build_indexes,
     coverage_cost,
+    estimate_target_cells,
     most_active_cell,
     perfect_cost,
+    plan_title,
     sweep_coverage,
     titles_by_popularity,
     traffic_vs_broadcast_ratio,
     unicast_breakdown,
     unicast_cost,
 )
+from prepush.cli import _plan_rows
+from prepush.planning import TRAFFIC_MODES
 
 
 def one_title_dataset():
@@ -174,10 +179,11 @@ class TestSweepCoverage:
         assert len(sweep.costs) == 20
 
     @pytest.mark.parametrize(
-        "grid", [(), (0.5, 0.5), (0.6, 0.3), (0.0, 0.5), (0.5, 1.2)]
+        "grid", [(), (0.5, 0.5), (0.6, 0.3), (0.0, 0.5), (0.5, 1.2),
+                 (0.1, math.nan), (math.nan,), (math.nan, 0.5)]
     )
     def test_grid_validated(self, grid):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="coverage grid"):
             sweep_coverage(one_title_dataset(), "t1", grid)
 
     def test_matches_pointwise_and_bruteforce_argmin(self):
@@ -242,9 +248,10 @@ class TestTrafficCurve:
         with pytest.raises(ValueError):
             traffic_vs_broadcast_ratio(one_title_dataset(), "psychic", (0.0, 1.0))
 
-    @pytest.mark.parametrize("ratios", [(), (0.5, 0.5), (0.8, 0.2), (-0.1, 1.0), (0.0, 1.1)])
+    @pytest.mark.parametrize("ratios", [(), (0.5, 0.5), (0.8, 0.2), (-0.1, 1.0), (0.0, 1.1),
+                                        (0.0, math.nan), (math.nan,)])
     def test_ratios_validated(self, ratios):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ratio grid"):
             traffic_vs_broadcast_ratio(one_title_dataset(), CASE_PERFECT, ratios)
 
     def test_limited_coverage_validated(self):
@@ -309,3 +316,84 @@ def test_accounting_identity_property(records, coverage):
     title = records[0].title_id
     bd = coverage_cost(ds, title, coverage)
     assert bd.total_transmissions == bd.broadcast_transmissions + bd.missed_visits
+
+
+# Traces for the first-target table: few users, titles and cells, so that
+# users tie in activity, titles have a single visitor, and a visitor's most
+# active cell (set by their other titles) is one the title never saw.
+table_records = st.lists(
+    st.builds(
+        lambda u, t, c: VisitRecord(f"u{u}", f"t{t}", f"c{c}"),
+        st.integers(1, 6), st.integers(1, 4), st.integers(1, 5),
+    ),
+    min_size=1,
+    max_size=40,
+)
+hundredths = st.lists(st.integers(1, 100).map(lambda p: Fraction(p, 100)),
+                      min_size=1, max_size=5)
+# t1 has the single visitor u1, whose most active cell cB t1 never saw;
+# u2 and u3 tie in activity.
+TABLE_EXAMPLE = [
+    VisitRecord("u1", "t1", "cA"),
+    VisitRecord("u1", "t2", "cB"),
+    VisitRecord("u1", "t2", "cB"),
+    VisitRecord("u2", "t3", "cA"),
+    VisitRecord("u3", "t3", "cC"),
+]
+
+
+def new_target_coverages(records, title):
+    """Coverages k/n at each k where the k-th ranked visitor brings in a
+    new target cell, and (k - 1)/n just before it."""
+    ranked = oracle.ranked_visitors(records, title)
+    seen, coverages = set(), []
+    for k, user in enumerate(ranked, start=1):
+        cell = oracle.most_active_cell(records, user)
+        if cell not in seen:
+            seen.add(cell)
+            coverages += [Fraction(j, len(ranked)) for j in (k - 1, k) if j]
+    return coverages
+
+
+class TestFirstTargetTable:
+    @given(table_records, hundredths)
+    @example(TABLE_EXAMPLE, [Fraction(1, 2)])
+    @settings(max_examples=150, deadline=None)
+    def test_coverage_cost_and_targets_match_oracle(self, records, coverages):
+        ds = build_indexes(records)
+        for title in ds.title_visits:
+            for coverage in coverages + new_target_coverages(records, title):
+                bd = coverage_cost(ds, title, float(coverage))
+                assert (bd.broadcast_transmissions, bd.missed_visits,
+                        bd.total_transmissions) == oracle.coverage_breakdown(
+                            records, title, coverage)
+                assert estimate_target_cells(
+                    ds, title, float(coverage)) == oracle.target_cells(
+                        records, title, coverage)
+
+    @given(table_records, hundredths)
+    @example(TABLE_EXAMPLE, [Fraction(1, 2)])
+    @settings(max_examples=100, deadline=None)
+    def test_sweep_is_pointwise(self, records, coverages):
+        ds = build_indexes(records)
+        grid = tuple(sorted({float(c) for c in coverages}))
+        for title in ds.title_visits:
+            sweep = sweep_coverage(ds, title, grid)
+            assert sweep.costs == tuple(
+                coverage_cost(ds, title, c).total_transmissions for c in grid)
+
+    @given(table_records, st.integers(1, 100))
+    @example(TABLE_EXAMPLE, 50)
+    @settings(max_examples=100, deadline=None)
+    def test_partition_rows_match_plan_title(self, records, percent):
+        # The CLI derives partitions.csv from counts alone; plan_title
+        # builds the sets.
+        ds = build_indexes(records)
+        coverage = percent / 100
+        for case in TRAFFIC_MODES:
+            _, rows = _plan_rows(ds, case, coverage)
+            for title, *sizes in rows:
+                part = plan_title(ds, title, case, coverage)[1]
+                assert sizes == [len(part.estimated), len(part.actual),
+                                 len(part.hit), len(part.missing),
+                                 len(part.mistaken), part.missed_visits]

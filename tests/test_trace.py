@@ -104,6 +104,15 @@ class TestParse:
         assert ds.records == (VisitRecord("u1", "t1", "c1"),
                               VisitRecord("u2", "t1", "c2", 17))
 
+    def test_title_users_built_once(self):
+        records = make_random_records(seeded_rng(24))
+        ds = build_indexes(records)
+        assert ds.title_users is ds.title_users
+        assert ds.title_users == {
+            title: {r.user_id for r in records if r.title_id == title}
+            for title in ds.title_visits
+        }
+
 
 def block_lines():
     """Plain trace rows of more than one parse block, one string each."""
