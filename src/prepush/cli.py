@@ -262,7 +262,7 @@ def _plan_rows(dataset, case, coverage):
     for title in titles_by_popularity(dataset):
         breakdown, hits = _cost(dataset, title, case, coverage)
         estimated = breakdown.broadcast_transmissions
-        actual = len(dataset.title_cell_visits[title])
+        actual = dataset._title_cells[dataset._title_code(title)]
         breakdown_rows.append(breakdown_row(breakdown))
         partition_rows.append((title, estimated, actual, hits, actual - hits,
                                estimated - hits, breakdown.missed_visits))

@@ -11,6 +11,9 @@ own traffic is across cells: the mean share of every user's rank-k cell.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from .errors import EmptyTraceError, UnknownIdError
 from .rounding import floor_count
@@ -58,12 +61,9 @@ class GeoProfile:
 
 
 def cell_visit_counts(dataset):
-    """Total visit count per cell, aggregated over all users."""
-    counts = {}
-    for cells in dataset.user_cell_visits.values():
-        for cell, n in cells.items():
-            counts[cell] = counts.get(cell, 0) + n
-    return counts
+    """Total visit count per cell, keys in order of first appearance."""
+    return dict(zip(dataset._vocabularies[2].tolist(),
+                    np.bincount(dataset._columns[2]).tolist()))
 
 
 def concentration_curve(dataset, kind):
@@ -92,14 +92,10 @@ def concentration_curve(dataset, kind):
         raise EmptyTraceError("cannot build a curve over an empty dataset")
 
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    n = len(ordered)
-    total = dataset.total_visits
-    points = []
-    running = 0
-    for k, (_, count) in enumerate(ordered, start=1):
-        running += count
-        points.append((k / n, running / total))
-    return ConcentrationCurve(entity_kind=kind, points=tuple(points))
+    n, total = len(ordered), dataset.total_visits
+    running = accumulate(count for _, count in ordered)
+    points = tuple((k / n, r / total) for k, r in enumerate(running, start=1))
+    return ConcentrationCurve(entity_kind=kind, points=points)
 
 
 def top_fraction_share(curve, fraction):
@@ -158,23 +154,19 @@ def geo_concentration_profile(dataset, max_rank):
         raise EmptyTraceError("cannot profile an empty dataset")
 
     n_users = dataset.n_users
+    # Each user's cells, most visited first (ties by ascending cell id).
+    bounds, _, counts = dataset._user_cells
+    starts, sizes = np.array(bounds[:-1]), np.diff(bounds)
+    shares = counts / np.repeat(np.add.reduceat(counts, starts), sizes)
+    # Sum each rank's shares down the users in order, as a loop in Python
+    # would: np.sum adds pairwise, which changes the last bits.
     rank_sums = [0.0] * max_rank
-    cell_count_sum = 0
-    for user, cells in dataset.user_cell_visits.items():
-        total = dataset.user_visits[user]
-        ordered = sorted(cells.items(), key=lambda kv: (-kv[1], kv[0]))
-        cell_count_sum += len(ordered)
-        for k, (_, count) in enumerate(ordered[:max_rank]):
-            rank_sums[k] += count / total
+    for k in range(min(max_rank, sizes.max())):
+        rank_sums[k] = np.cumsum(shares[starts[sizes > k] + k])[-1].item()
 
-    means = [s / n_users for s in rank_sums]
-    cumulative = []
-    running = 0.0
-    for m in means:
-        running += m
-        cumulative.append(running)
+    means = tuple(s / n_users for s in rank_sums)
     return GeoProfile(
-        mean_share_by_rank=tuple(means),
-        cumulative_by_rank=tuple(cumulative),
-        mean_active_cells=cell_count_sum / n_users,
+        mean_share_by_rank=means,
+        cumulative_by_rank=tuple(accumulate(means)),
+        mean_active_cells=len(counts) / n_users,
     )

@@ -3,23 +3,24 @@
 A trace is an ordered list of visit records (user, title, cell, optional
 timestamp).  ``TraceDataset`` stores it as integer code columns, with one
 vocabulary of identifiers per entity kind, and adds the aggregations every
-other module consumes: per-title and per-user visit counts, per-title cell
-maps, per-user cell histograms, and each title's visitors ranked by
-activity with the cells targeting them brings in.  One private builder
-derives every index with numpy over the code columns; :func:`parse_trace`,
-:func:`build_indexes` and ``synth.generate`` all feed it.  Datasets are
-immutable after construction and safe to share across threads; all
-analysis functions in this package are pure reads over them.
+other module consumes: per-title and per-user visit counts and cells,
+and each title's visitors ranked by activity with the cells targeting them
+brings in.  One private builder derives every index with numpy over the
+code columns; :func:`parse_trace`, :func:`build_indexes` and
+``synth.generate`` all feed it, and maps of identifiers beyond the visit
+counts are built on first use.  Datasets are immutable after construction
+and safe to share across threads; all analysis functions in this package
+are pure reads over them.
 
 Trace file format: UTF-8 text, one header line ``user_id,title_id,cell_id,
 timestamp``, comma-delimited rows, empty timestamp field allowed.
 Identifiers are restricted to ``[A-Za-z0-9_:-]+`` so no quoting is needed.
-The parser checks each block of about a megabyte with one regular
-expression and splits it in C.  From the first block the expression
-rejects to the end of the file it reads line by line with :mod:`csv`:
-that path still accepts the odd rows :mod:`csv` and ``int`` accept
-(quoted fields, CRLF line ends, ``+5`` timestamps), and it is the only
-place a parse error is raised.
+The parser checks each block of about a megabyte with byte operations
+and splits it, all in C.  From the first block the check rejects to the
+end of the file it reads line by line with :mod:`csv`: that path still
+accepts the odd rows :mod:`csv` and ``int`` accept (quoted fields, CRLF
+line ends, ``+5`` timestamps), and it is the only place a parse error is
+raised.
 """
 
 import csv
@@ -28,6 +29,7 @@ import itertools
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -43,11 +45,9 @@ from .rounding import ceil_count
 TRACE_HEADER = ("user_id", "title_id", "cell_id", "timestamp")
 
 _IDENT_RE = re.compile(r"[A-Za-z0-9_:-]+\Z")
+_ID_BYTES = bytes(c for c in range(128) if _IDENT_RE.match(chr(c)))
 _HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
 _ID_FIELDS = TRACE_HEADER[:3]
-#: Rows the fast path reads; a timestamp of at most 18 digits fits int64.
-_ROWS_RE = re.compile(r"(?:[A-Za-z0-9_:-]+,[A-Za-z0-9_:-]+,[A-Za-z0-9_:-]+,"
-                      r"[0-9]{0,18}\n)*")
 #: Characters per block the parser reads, and rows per block it collects
 #: on the per-line path or write_trace formats.
 _CHUNK_CHARS = 1 << 20
@@ -81,7 +81,7 @@ class VisitRecord:
         return None
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class TraceDataset:
     """Immutable visit columns plus derived per-entity indexes.
 
@@ -90,36 +90,30 @@ class TraceDataset:
     indexes its kind's vocabulary of identifiers, numbered in order of
     first appearance in the trace, so equal record sequences give equal
     columns, and ``==`` compares two datasets' records that way.
-    ``records`` is a read-only tuple of :class:`VisitRecord`, built from
-    the columns on first use and then kept.
 
     All index maps are derived purely from the columns.  Their keys, and
     the keys of the per-title and per-user cell maps, follow first
-    appearance in the trace.  Besides the visit counts and cell maps, two
-    per-user indexes serve placement: ``user_top_cell`` maps each user to
-    their most visited cell (ties by ascending cell id) and ``user_rank``
-    to their 0-based position in descending activity order (ties by
-    ascending user id).
+    appearance in the trace.  Besides the visit counts, each is a view
+    built on first use and then kept, as is ``records``, a read-only tuple
+    of :class:`VisitRecord`.  ``user_top_cell`` maps each user to their
+    most visited cell (ties by ascending cell id) and ``user_rank`` to
+    their 0-based position in descending activity order (ties by ascending
+    user id).
 
     Placement and planning read two private indexes of integer arrays
-    instead of sets of identifiers.  The *ranked index* holds each title's distinct visitors
-    as user codes, most active first.  The *first-target table* holds, for
-    each title, one entry per distinct target cell (a visitor's most
-    active cell): the position in the ranked index at which the cell first
-    appears, its code, and running sums of hit cells (cells the title was
-    visited in) and of the visits those cells cover.  Targeting a title's
-    first k ranked visitors is then one binary search; see
-    :meth:`_targeting`.  ``title_users`` maps each title to the frozenset
-    of its visitors; it is built from the ranked index on first use and
-    then kept.
+    instead of sets of identifiers.  The *ranked index* holds each title's
+    distinct visitors as user codes, most active first.  The *first-target
+    table* holds, for each title, one entry per distinct target cell (a
+    visitor's most active cell): the position in the ranked index at which
+    the cell first appears, its code, and running sums of hit cells (cells
+    the title was visited in) and of the visits those cells cover.
+    Targeting a title's first k ranked visitors is then one binary search;
+    see :meth:`_targeting`.  ``title_users`` maps each title to the
+    frozenset of its visitors.
     """
 
     title_visits: dict = field(repr=False)
-    title_cell_visits: dict = field(repr=False)
     user_visits: dict = field(repr=False)
-    user_cell_visits: dict = field(repr=False)
-    user_top_cell: dict = field(repr=False)
-    user_rank: dict = field(repr=False)
     total_visits: int
     #: User, title and cell identifiers, each an object array by code.
     _vocabularies: tuple = field(repr=False)
@@ -138,8 +132,13 @@ class TraceDataset:
     #: ``hits[i]`` and ``covered[i]`` sum the hit cells and the covered
     #: visits of entries before i.
     _targets: tuple = field(repr=False)
-    _records: tuple | None = field(default=None, init=False, repr=False)
-    _title_users: dict | None = field(default=None, init=False, repr=False)
+    #: The number of distinct cells each title code was visited in.
+    _title_cells: list = field(repr=False)
+    #: ``(bounds, cells, counts)``: user code k's cells and visits are
+    #: ``bounds[k]:bounds[k + 1]``, most visited first, ties by cell id.
+    _user_cells: tuple = field(repr=False)
+    #: Each user code's position in descending activity order.
+    _user_ranks: np.ndarray = field(repr=False)
 
     @property
     def n_titles(self):
@@ -149,29 +148,58 @@ class TraceDataset:
     def n_users(self):
         return len(self.user_visits)
 
-    @property
+    @cached_property
     def records(self):
         """The visits in trace order, as a tuple of :class:`VisitRecord`."""
-        if self._records is None:
-            *codes, stamps = self._columns
-            ids = [v[c].tolist() for v, c in zip(self._vocabularies, codes)]
-            given = stamps.astype(object)
-            given[stamps == _NO_TIMESTAMP] = None
-            object.__setattr__(self, "_records",
-                               tuple(map(VisitRecord, *ids, given.tolist())))
-        return self._records
+        *codes, stamps = self._columns
+        ids = [v[c].tolist() for v, c in zip(self._vocabularies, codes)]
+        given = stamps.astype(object)
+        given[stamps == _NO_TIMESTAMP] = None
+        return tuple(map(VisitRecord, *ids, given.tolist()))
 
-    @property
+    @cached_property
     def title_users(self):
         """Each title's distinct visitors, as a frozenset of user ids."""
-        if self._title_users is None:
-            bounds, users = self._ranked
-            names = self._vocabularies[0][users].tolist()
-            object.__setattr__(self, "_title_users", {
-                title: frozenset(names[a:b]) for title, a, b in
-                zip(self._vocabularies[1].tolist(), bounds, bounds[1:])
-            })
-        return self._title_users
+        bounds, users = self._ranked
+        names = self._vocabularies[0][users].tolist()
+        return {title: frozenset(names[a:b]) for title, a, b in
+                zip(self._vocabularies[1].tolist(), bounds, bounds[1:])}
+
+    @cached_property
+    def title_cell_visits(self):
+        """Each title's visits per cell, as ``{cell: visits}``."""
+        return self._cell_maps(1)
+
+    @cached_property
+    def user_cell_visits(self):
+        """Each user's visits per cell, as ``{cell: visits}``."""
+        return self._cell_maps(0)
+
+    @cached_property
+    def user_top_cell(self):
+        """Each user's most visited cell (ties by ascending cell id)."""
+        bounds, cells, _ = self._user_cells
+        top = self._vocabularies[2][cells[bounds[:-1]]]
+        return dict(zip(self.user_visits, top.tolist()))
+
+    @cached_property
+    def user_rank(self):
+        """Each user's 0-based position in descending activity order."""
+        return dict(zip(self.user_visits, self._user_ranks.tolist()))
+
+    def _cell_maps(self, kind):
+        """``{id: {cell: visits}}`` over the users (``kind`` 0) or the
+        titles (``kind`` 1), each map's keys in order of first appearance."""
+        ids, cell_ids = self._vocabularies[kind], self._vocabularies[2]
+        outer, cells = self._columns[kind], self._columns[2]
+        keys, first, counts = _distinct(_pair_keys(outer, cells, len(cell_ids)))
+        groups = keys // len(cell_ids)
+        order = np.argsort(groups * len(outer) + first)
+        bounds = _bounds(groups, len(ids))
+        cells = cell_ids[(keys % len(cell_ids))[order]].tolist()
+        counts = counts[order].tolist()
+        return {key: dict(zip(cells[a:b], counts[a:b]))
+                for key, a, b in zip(ids.tolist(), bounds, bounds[1:])}
 
     def _title_code(self, title):
         try:
@@ -201,7 +229,7 @@ class TraceDataset:
         code = self._title_code(title)
         start, stop = self._ranked[0][code:code + 2]
         if isinstance(coverage, tuple):
-            k = np.array([ceil_count(c, stop - start) for c in coverage])
+            k = np.array(_ceil_counts(coverage, stop - start))
         else:
             k = ceil_count(coverage, stop - start)
         bounds, first, _, hits, covered = self._targets
@@ -225,6 +253,13 @@ class TraceDataset:
             for a, b in zip(self._vocabularies + self._columns,
                             other._vocabularies + other._columns)
         )
+
+
+@lru_cache(maxsize=4096)
+def _ceil_counts(grid, n):
+    """:func:`ceil_count` of each coverage of a grid: sweeps round one grid
+    for every title, and many titles share a visitor count ``n``."""
+    return tuple(ceil_count(c, n) for c in grid)
 
 
 class _Columns:
@@ -293,23 +328,12 @@ def _distinct(keys):
             np.diff(starts, append=len(keys)))
 
 
-def _pairs(outer, inner, n_outer, n_inner):
-    """Distinct (outer, inner) code pairs and their visit counts.
-
-    Pairs are grouped by outer code, each group in order of first
-    appearance.  Returns ``(bounds, inner_codes, counts, keys,
-    key_counts)``, where group ``k`` is the slice ``bounds[k]:bounds[k +
-    1]``; ``keys`` holds the pair keys ``outer * n_inner + inner`` in
-    ascending order and ``key_counts`` their counts.
-    """
+def _pair_keys(outer, inner, n_inner):
+    """The int64 keys ``outer * n_inner + inner`` of code pairs."""
     keys = outer.astype(np.int64)
     keys *= n_inner
     keys += inner
-    keys, first, counts = _distinct(keys)
-    groups = keys // n_inner
-    order = np.argsort(groups * len(outer) + first)
-    return (_bounds(groups, n_outer), (keys % n_inner)[order], counts[order],
-            keys, counts)
+    return keys
 
 
 def _id_ranks(vocabulary):
@@ -318,12 +342,6 @@ def _id_ranks(vocabulary):
     ranks = np.empty(len(ids), dtype=np.int64)
     ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     return ranks
-
-
-def _cell_maps(keys, bounds, cells, counts):
-    """``{keys[k]: {cell: count}}`` over the pairs of each group ``k``."""
-    return {key: dict(zip(cells[a:b], counts[a:b]))
-            for key, a, b in zip(keys, bounds, bounds[1:])}
 
 
 def _from_columns(vocabularies, users, titles, cells, timestamps=None):
@@ -353,24 +371,24 @@ def _from_columns(vocabularies, users, titles, cells, timestamps=None):
     popularity = title_ids[np.lexsort((_id_ranks(title_ids), -title_counts))]
 
     # The ranked index: one sort of (title, user rank) keys, deduplicated.
-    keys = titles.astype(np.int64)
-    keys *= n_users
-    keys += user_rank[users]
+    keys = _pair_keys(titles, user_rank[users], n_users)
     keys.sort()
     keys = keys[np.diff(keys, prepend=-1) != 0]
     ranked_users = by_rank[keys % n_users].astype(np.int32)
     ranked_titles = keys // n_users
     del keys
 
-    uc_bounds, uc_cells, uc_counts, *_ = _pairs(users, cells, n_users,
-                                                n_cells)
-    # Sorted by user, then descending count, then ascending cell id, the
-    # first pair of each user's group holds the user's most active cell.
-    uc_users = np.repeat(np.arange(n_users), np.diff(uc_bounds))
+    # The user-cell pairs by user, descending count and ascending cell id:
+    # each user's first pair is their most active cell.
+    uc_keys, uc_counts = np.unique(_pair_keys(users, cells, n_cells),
+                                   return_counts=True)
+    uc_users, uc_cells = np.divmod(uc_keys, n_cells)
     top = np.lexsort((_id_ranks(cell_ids)[uc_cells], -uc_counts, uc_users))
-    top_cells = uc_cells[top[uc_bounds[:-1]]]
-    tc_bounds, tc_cells, tc_counts, tc_keys, tc_key_counts = _pairs(
-        titles, cells, n_titles, n_cells)
+    uc_bounds = _bounds(uc_users, n_users)
+    uc_cells, uc_counts = uc_cells[top], uc_counts[top]
+    top_cells = uc_cells[uc_bounds[:-1]]
+    tc_keys, tc_counts = np.unique(_pair_keys(titles, cells, n_cells),
+                                   return_counts=True)
 
     # The first-target table: each (title, target cell) pair at the first
     # ranked position it appears at, with the visits the cell covers (0
@@ -379,26 +397,15 @@ def _from_columns(vocabularies, users, titles, cells, timestamps=None):
     first = np.sort(_distinct(pairs)[1])
     pairs = pairs[first]
     at = tc_keys.searchsorted(pairs).clip(max=len(tc_keys) - 1)
-    covers = np.where(tc_keys[at] == pairs, tc_key_counts[at], 0)
+    covers = np.where(tc_keys[at] == pairs, tc_counts[at], 0)
     hits = np.zeros(len(first) + 1, dtype=np.int32)
     np.cumsum(covers > 0, out=hits[1:])
     covered = np.zeros(len(first) + 1, dtype=np.int64)
     np.cumsum(covers, out=covered[1:])
-    # The dictionaries below set the build's peak: free what they do not
-    # read before they are built.
-    del tc_keys, tc_key_counts, pairs, at, covers
 
     return TraceDataset(
         title_visits=dict(zip(title_names, title_counts.tolist())),
-        title_cell_visits=_cell_maps(
-            title_names, tc_bounds, cell_ids[tc_cells].tolist(),
-            tc_counts.tolist()),
         user_visits=dict(zip(user_names, user_counts.tolist())),
-        user_cell_visits=_cell_maps(
-            user_names, uc_bounds, cell_ids[uc_cells].tolist(),
-            uc_counts.tolist()),
-        user_top_cell=dict(zip(user_names, cell_ids[top_cells].tolist())),
-        user_rank=dict(zip(user_names, user_rank.tolist())),
         total_visits=len(users),
         _vocabularies=(user_ids, title_ids, cell_ids),
         _columns=(users, titles, cells, timestamps),
@@ -408,6 +415,9 @@ def _from_columns(vocabularies, users, titles, cells, timestamps=None):
         _targets=(_bounds(ranked_titles[first], n_titles), first,
                   top_cells[ranked_users[first]].astype(np.int32), hits,
                   covered),
+        _title_cells=np.bincount(tc_keys // n_cells).tolist(),
+        _user_cells=(uc_bounds, uc_cells, uc_counts),
+        _user_ranks=user_rank,
     )
 
 
@@ -443,16 +453,25 @@ def build_indexes(records):
 
 
 def _add_rows(columns, rows):
-    """Append the rows of text :data:`_ROWS_RE` matched."""
+    """Append a block of rows and return True if each is three identifiers
+    and a timestamp of at most 18 digits (so it fits int64) or none; else
+    append nothing and return False.  Non-ASCII text fails the byte check."""
+    data = rows.encode()
+    if (data.translate(None, _ID_BYTES) != b",,,\n" * data.count(b"\n")
+            or b",," in data or b"\n," in data or data.startswith(b",")):
+        return False
     fields = rows.replace("\n", ",").split(",")
     end = len(fields) - 1
     stamps = fields[3:end:4]
     column = np.full(len(stamps), _NO_TIMESTAMP, dtype=np.int64)
     if any(stamps):
+        if not "".join(stamps).isdigit() or max(map(len, stamps)) > 18:
+            return False
         stamps = np.array(stamps)
         given = stamps != ""
         column[given] = stamps[given].astype(np.int64)
     columns.add(fields[0:end:4], fields[1:end:4], fields[2:end:4], column)
+    return True
 
 
 def _parse_identifier(line_no, name, value):
@@ -511,7 +530,7 @@ def _add_lines(columns, lines, lines_before, path):
 
 def _add_blocks(columns, handle, path):
     """The fast path: the rows after the header, a block at a time, until
-    the end of the file or the first block :data:`_ROWS_RE` rejects."""
+    the end of the file or the first block :func:`_add_rows` rejects."""
     lines_before = 1
     pending = ""
     while True:
@@ -521,7 +540,7 @@ def _add_blocks(columns, handle, path):
         block, pending = block[:cut], block[cut:]
         if block:
             rows = block if block.endswith("\n") else block + "\n"
-            if not _ROWS_RE.fullmatch(rows):
+            if not _add_rows(columns, rows):
                 # Complete the pending line, so the csv reader goes on from
                 # the handle at a line boundary.
                 head = io.StringIO(block + pending + handle.readline(),
@@ -529,7 +548,6 @@ def _add_blocks(columns, handle, path):
                 _add_lines(columns, itertools.chain(head, handle),
                            lines_before, path)
                 return
-            _add_rows(columns, rows)
             lines_before += rows.count("\n")
         if not text:
             return
@@ -551,18 +569,30 @@ def parse_trace(path):
     Raises
     ------
     TraceFormatError
-        Malformed header or line; the error names the line number.
+        Malformed header or line, or bytes that are not UTF-8; the error
+        names the line number.
     EmptyTraceError
         File contains a header but zero records.
     """
     columns = _Columns()
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        header = handle.readline()
-        if header == _HEADER_LINE:
-            _add_blocks(columns, handle, path)
-        else:
-            head = io.StringIO(header, newline="")
-            _add_lines(columns, itertools.chain(head, handle), 0, path)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            header = handle.readline()
+            if header == _HEADER_LINE:
+                _add_blocks(columns, handle, path)
+            else:
+                head = io.StringIO(header, newline="")
+                _add_lines(columns, itertools.chain(head, handle), 0, path)
+    except UnicodeDecodeError:
+        # Its position is within the decoder's buffer: find it in the file.
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(data.count(b"\n", 0, exc.start) + 1,
+                                   str(exc)) from None
+        raise
     dataset = columns.build()
     if not dataset.total_visits:
         raise EmptyTraceError(f"{path}: trace contains zero records")

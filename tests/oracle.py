@@ -9,11 +9,23 @@ exactly 1/10 (its decimal value) and 1/3 is one third, not the binary
 value of either double.  A Fraction stands for itself.
 """
 
+import csv
+import io
 import math
+import re
 from fractions import Fraction
+from itertools import accumulate
 
 #: Largest denominator :func:`as_fraction` searches.
 MAX_DENOMINATOR = 10**6
+
+#: The reference grammar of a block the parser reads without csv: rows of
+#: three identifiers and a timestamp of at most 18 digits (so it fits
+#: int64) or none, each ending in a newline.
+ROWS_RE = re.compile(r"(?:[A-Za-z0-9_:-]+,[A-Za-z0-9_:-]+,[A-Za-z0-9_:-]+,"
+                     r"[0-9]{0,18}\n)*")
+TRACE_FIELDS = ("user_id", "title_id", "cell_id", "timestamp")
+IDENTIFIER_RE = re.compile(r"[A-Za-z0-9_:-]+")
 
 
 def as_fraction(fraction):
@@ -144,3 +156,66 @@ def top_fraction_count_sum(counts, fraction):
     ordered = sorted(counts, reverse=True)
     k = exact_floor(fraction, len(ordered))
     return sum(ordered[:k])
+
+
+def read_trace(text):
+    """Read trace file text as documented, with csv and int, line by line.
+
+    Returns the visits as a list of ``(user, title, cell, timestamp)``
+    tuples, timestamp None where missing; ``[]`` for a file with no rows;
+    or ``(line, message)`` for the first bad line, worded as
+    parse_trace's TraceFormatError words it.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        return []
+    if tuple(header) != TRACE_FIELDS:
+        return 1, f"bad header {header!r}"
+    visits = []
+    for row in reader:
+        line = reader.line_num
+        if len(row) != 4:
+            return line, f"expected 4 fields, got {len(row)}"
+        for name, value in zip(TRACE_FIELDS, row[:3]):
+            if not value:
+                return line, f"empty {name} field"
+            if not IDENTIFIER_RE.fullmatch(value):
+                return line, f"invalid {name} {value!r}"
+        timestamp = None
+        if row[3]:
+            try:
+                timestamp = int(row[3])
+            except ValueError:
+                return line, f"non-integer timestamp {row[3]!r}"
+            if timestamp < 0:
+                return line, f"negative timestamp {timestamp}"
+            if timestamp >= 2**63:
+                return line, f"timestamp {timestamp} out of range"
+        visits.append((*row[:3], timestamp))
+    return visits
+
+
+def cell_counts(records):
+    counts = {}
+    for r in records:
+        counts[r.cell_id] = counts.get(r.cell_id, 0) + 1
+    return counts
+
+
+def geo_profile(records, max_rank):
+    """(mean share by rank, cumulative, mean active cells), with each
+    rank's shares summed over the users in order of first appearance."""
+    user_cells = {}
+    for r in records:
+        cells = user_cells.setdefault(r.user_id, {})
+        cells[r.cell_id] = cells.get(r.cell_id, 0) + 1
+    sums = [0.0] * max_rank
+    for cells in user_cells.values():
+        total = sum(cells.values())
+        ordered = sorted(cells.items(), key=lambda kv: (-kv[1], kv[0]))
+        for k, (_, count) in enumerate(ordered[:max_rank]):
+            sums[k] += count / total
+    means = [s / len(user_cells) for s in sums]
+    active = sum(map(len, user_cells.values())) / len(user_cells)
+    return tuple(means), tuple(accumulate(means)), active

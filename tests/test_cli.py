@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracle
-from prepush import parse_trace
+from prepush import TraceDataset, parse_trace
 from prepush.cli import main
 
 
@@ -352,3 +352,26 @@ class TestDeterminism:
                     "--output", str(tmp_path / "plan")]) == 0
         assert run(["sweep", "--input", str(trace),
                     "--output", str(tmp_path / "sweep"), "--titles", "1"]) == 0
+
+
+#: The dataset's maps built on first use: no command needs them.
+VIEWS = ("title_cell_visits", "user_cell_visits", "user_top_cell",
+         "user_rank", "title_users", "records")
+
+
+def test_commands_build_no_view(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a command built a view")
+
+    for view in VIEWS:
+        monkeypatch.setattr(TraceDataset, view, property(refuse))
+    trace = gen_trace(tmp_path)
+    for command, extra in (
+        ("stats", []),
+        ("plan", ["--mode", "perfect"]),
+        ("plan", ["--mode", "assumed"]),
+        ("plan", ["--mode", "limited"]),
+        ("sweep", []),
+    ):
+        assert run([command, "--input", str(trace),
+                    "--output", str(tmp_path / command), *extra]) == 0

@@ -5,14 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from helpers import dataset_from_counts, make_random_dataset, seeded_rng
+from helpers import (
+    dataset_from_counts,
+    make_random_dataset,
+    make_random_records,
+    seeded_rng,
+)
 from prepush import (
     EmptyTraceError,
+    SynthParams,
     UnknownIdError,
     VisitRecord,
     build_indexes,
     cell_visit_counts,
     concentration_curve,
+    generate,
     geo_concentration_profile,
     top_fraction_share,
     user_cell_shares,
@@ -57,6 +64,14 @@ class TestConcentrationCurve:
         assert cell_visit_counts(ds) == {"cA": 2, "cB": 1}
         curve = concentration_curve(ds, "cell")
         assert curve.points[0][1] == pytest.approx(2 / 3)
+
+    def test_cell_counts_match_oracle(self):
+        for seed in range(5):
+            records = make_random_records(seeded_rng(40 + seed))
+            counts = cell_visit_counts(build_indexes(records))
+            want = oracle.cell_counts(records)
+            # Equal values, keys in order of first appearance.
+            assert list(counts.items()) == list(want.items())
 
     def test_unknown_kind(self):
         ds = make_random_dataset(seeded_rng(2))
@@ -205,6 +220,16 @@ class TestGeoProfile:
                 assert profile.mean_share_by_rank[k] == pytest.approx(
                     sums[k] / len(users), abs=1e-12
                 )
+
+    def test_equals_oracle_exactly(self):
+        # Enough users that a pairwise sum would change the last bits.
+        ds = generate(SynthParams(n_users=2500, n_titles=50, n_cells=400,
+                                  n_visits=25_000, seed=31))
+        assert ds.n_users >= 2000
+        profile = geo_concentration_profile(ds, 12)
+        assert (profile.mean_share_by_rank, profile.cumulative_by_rank,
+                profile.mean_active_cells) == oracle.geo_profile(ds.records,
+                                                                 12)
 
     def test_cumulative_bounded(self):
         ds = make_random_dataset(seeded_rng(6))

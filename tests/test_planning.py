@@ -87,6 +87,21 @@ class TestPerfectCost:
                 assert (total == baseline) == (distinct == baseline)
 
 
+    def test_distinct_cells_match_oracle(self):
+        # The perfect cost and the CLI's `actual` column both count a
+        # title's distinct cells.
+        for seed in range(10):
+            records = make_random_records(seeded_rng(540 + seed))
+            ds = build_indexes(records)
+            for case in TRAFFIC_MODES:
+                _, rows = _plan_rows(ds, case, 0.5)
+                for title, _, actual, *_ in rows:
+                    want = len(oracle.title_cell_counts(records, title))
+                    assert actual == want
+                    assert perfect_cost(
+                        ds, title).broadcast_transmissions == want
+
+
 class TestBroadcastCost:
     def test_empty_targets_is_pure_unicast(self):
         ds = one_title_dataset()

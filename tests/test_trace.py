@@ -1,5 +1,7 @@
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -13,6 +15,7 @@ from prepush import (
     build_indexes,
     generate,
     parse_trace,
+    trace,
     write_trace,
 )
 from prepush.trace import _CHUNK_CHARS
@@ -103,6 +106,12 @@ class TestParse:
         assert ds.records is ds.records
         assert ds.records == (VisitRecord("u1", "t1", "c1"),
                               VisitRecord("u2", "t1", "c2", 17))
+
+    @pytest.mark.parametrize("view", ["title_cell_visits", "user_cell_visits",
+                                      "user_top_cell", "user_rank"])
+    def test_view_built_once(self, view):
+        ds = build_indexes(make_random_records(seeded_rng(25)))
+        assert getattr(ds, view) is getattr(ds, view)
 
     def test_title_users_built_once(self):
         records = make_random_records(seeded_rng(24))
@@ -200,6 +209,109 @@ class TestParseBlocks:
     def test_no_final_newline(self, tmp_path, lines, plain):
         path = write_text(tmp_path, HEADER + "".join(lines).rstrip("\n"))
         assert parse_trace(path) == plain
+
+    @pytest.mark.parametrize("where", ["first_block", "after_first_block"])
+    def test_invalid_utf8_names_its_line(self, tmp_path, lines, where):
+        bad = 7 if where == "first_block" else len(lines) - 10
+        data = (HEADER + "".join(lines)).encode()
+        offset = len((HEADER + "".join(lines[:bad])).encode()) + 2
+        assert (offset > _CHUNK_CHARS) == (where == "after_first_block")
+        path = tmp_path / "trace.csv"
+        path.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace(path)
+        assert str(exc.value) == (
+            f"line {bad + 2}: 'utf-8' codec can't decode byte 0xff in "
+            f"position {offset}: invalid start byte")
+
+
+#: Rows that parse, by how they are written.
+GOOD_FORMS = {
+    "plain": lambda u, t, c, n: f"{u},{t},{c},{n}\n",
+    "no_timestamp": lambda u, t, c, n: f"{u},{t},{c},\n",
+    "quoted": lambda u, t, c, n: f'"{u}",{t},"{c}",{n}\n',
+    "crlf": lambda u, t, c, n: f"{u},{t},{c},{n}\r\n",
+    "plus": lambda u, t, c, n: f"{u},{t},{c},+{n}\n",
+    "space": lambda u, t, c, n: f"{u},{t},{c}, {n}\n",
+    "leading_zeros": lambda u, t, c, n: f"{u},{t},{c},00{n}\n",
+    "digits_18": lambda u, t, c, n: f"{u},{t},{c},{10**18 - 1 - n}\n",
+    "digits_19": lambda u, t, c, n: f"{u},{t},{c},{2**63 - 1 - n}\n",
+}
+#: Rows that do not parse.
+BAD_FORMS = {
+    "non_ascii": lambda u, t, c, n: f"{u}\u00e9,{t},{c},{n}\n",
+    "empty_user": lambda u, t, c, n: f",{t},{c},{n}\n",
+    "empty_title": lambda u, t, c, n: f"{u},,{c},{n}\n",
+    "empty_cell": lambda u, t, c, n: f"{u},{t},,\n",
+    "three_fields": lambda u, t, c, n: f"{u},{t},{c}\n",
+    "five_fields": lambda u, t, c, n: f"{u},{t},{c},{n},{n}\n",
+    "negative": lambda u, t, c, n: f"{u},{t},{c},-{n}\n",
+    "too_large": lambda u, t, c, n: f"{u},{t},{c},{2**63 + n}\n",
+    "letters": lambda u, t, c, n: f"{u},{t},{c},{n}x\n",
+    "bad_char": lambda u, t, c, n: f"{u}.{t},{t},{c},{n}\n",
+    "blank": lambda u, t, c, n: "\n",
+}
+ROW_FORMS = {**GOOD_FORMS, **BAD_FORMS}
+identifiers = st.text("aZ09_:-", min_size=1, max_size=3)
+
+
+def row_text(form, user, title, cell, number):
+    return ROW_FORMS[form](user, title, cell, number)
+
+
+def rows_of(forms):
+    return st.builds(row_text, st.sampled_from(sorted(forms)), identifiers,
+                     identifiers, identifiers, st.integers(0, 10**6))
+
+
+good_rows = rows_of(GOOD_FORMS)
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace file text: odd and plain rows, maybe one bad row, and maybe no
+    final newline."""
+    rows = draw(st.lists(good_rows, max_size=25))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(rows_of(BAD_FORMS)))
+    text = HEADER + "".join(rows)
+    return text[:-1] if draw(st.booleans()) else text
+
+
+class TestBlockCheck:
+    """The parser's byte checks against the reference grammar, and the
+    parser against a csv reader, over blocks of a few rows."""
+
+    @given(st.lists(rows_of(ROW_FORMS), min_size=1, max_size=8))
+    @example([",t,c,5\n"])
+    @example(["u,t,c,5\n", "u,,c,\n"])
+    @example(["u,t,c,1000000000000000000\n"])
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_what_the_grammar_matches(self, rows):
+        block = "".join(rows)
+        assert trace._add_rows(trace._Columns(), block) == bool(
+            oracle.ROWS_RE.fullmatch(block))
+
+    @given(trace_texts(), st.integers(8, 80))
+    @settings(max_examples=250, deadline=None)
+    def test_parse_matches_csv_reader(self, tmp_path_factory, text, chunk):
+        path = tmp_path_factory.mktemp("fuzz") / "trace.csv"
+        path.write_bytes(text.encode())
+        want = oracle.read_trace(text)
+        with mock.patch.object(trace, "_CHUNK_CHARS", chunk):
+            if isinstance(want, tuple):
+                with pytest.raises(TraceFormatError) as exc:
+                    parse_trace(path)
+                line, message = want
+                assert (exc.value.line_no, str(exc.value)) == (
+                    line, f"line {line}: {message}")
+            elif not want:
+                with pytest.raises(EmptyTraceError):
+                    parse_trace(path)
+            else:
+                assert [(r.user_id, r.title_id, r.cell_id, r.timestamp)
+                        for r in parse_trace(path).records] == want
 
 
 class TestWrite:
