@@ -1,8 +1,9 @@
 """Brute-force re-derivations used as independent test oracles.
 
-Every function here recomputes its answer by scanning a raw record list,
-never by consulting TraceDataset indexes or the library's own helpers, so
-the tests compare two genuinely separate paths.  Fractions of counts are
+Every function here recomputes its answer by scanning a raw record list
+(:func:`read_trace` scans file text), never by consulting TraceDataset
+indexes or the library's own helpers, so the tests compare two genuinely
+separate paths.  Fractions of counts are
 resolved with exact rational arithmetic (`fractions.Fraction`).  A float
 stands for the simplest fraction whose nearest double it is: 0.1 is
 exactly 1/10 (its decimal value) and 1/3 is one third, not the binary

@@ -365,7 +365,7 @@ def test_commands_build_no_view(tmp_path, monkeypatch):
 
     for view in VIEWS:
         monkeypatch.setattr(TraceDataset, view, property(refuse))
-    trace = gen_trace(tmp_path)
+    trace = gen_trace(tmp_path)  # runs `gen` under the same patch
     for command, extra in (
         ("stats", []),
         ("plan", ["--mode", "perfect"]),

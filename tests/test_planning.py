@@ -86,7 +86,6 @@ class TestPerfectCost:
                 distinct = len(oracle.title_cell_counts(records, title))
                 assert (total == baseline) == (distinct == baseline)
 
-
     def test_distinct_cells_match_oracle(self):
         # The perfect cost and the CLI's `actual` column both count a
         # title's distinct cells.
