@@ -29,7 +29,6 @@ import itertools
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -81,7 +80,16 @@ class VisitRecord:
         return None
 
 
-@dataclass(frozen=True, eq=False)
+def _kept(build):
+    """A property built on first use and then kept in the ``_views`` slot."""
+    def get(self):
+        if build.__name__ not in self._views:
+            self._views.setdefault(build.__name__, build(self))
+        return self._views[build.__name__]
+    return property(get, doc=build.__doc__)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class TraceDataset:
     """Immutable visit columns plus derived per-entity indexes.
 
@@ -91,14 +99,13 @@ class TraceDataset:
     first appearance in the trace, so equal record sequences give equal
     columns, and ``==`` compares two datasets' records that way.
 
-    All index maps are derived purely from the columns.  Their keys, and
-    the keys of the per-title and per-user cell maps, follow first
-    appearance in the trace.  Besides the visit counts, each is a view
-    built on first use and then kept, as is ``records``, a read-only tuple
-    of :class:`VisitRecord`.  ``user_top_cell`` maps each user to their
-    most visited cell (ties by ascending cell id) and ``user_rank`` to
-    their 0-based position in descending activity order (ties by ascending
-    user id).
+    All index maps are derived purely from the columns; their keys, and
+    those of the per-title and per-user cell maps, follow first appearance
+    in the trace.  Besides the visit counts, each is a view built on first
+    use and kept in ``_views``, as is ``records``, a read-only tuple of
+    :class:`VisitRecord`.  ``user_top_cell`` maps each user to their most
+    visited cell (ties by ascending cell id) and ``user_rank`` to their
+    0-based position in descending activity order (ties by ascending id).
 
     Placement and planning read two private indexes of integer arrays
     instead of sets of identifiers.  The *ranked index* holds each title's
@@ -139,6 +146,7 @@ class TraceDataset:
     _user_cells: tuple = field(repr=False)
     #: Each user code's position in descending activity order.
     _user_ranks: np.ndarray = field(repr=False)
+    _views: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_titles(self):
@@ -148,7 +156,7 @@ class TraceDataset:
     def n_users(self):
         return len(self.user_visits)
 
-    @cached_property
+    @_kept
     def records(self):
         """The visits in trace order, as a tuple of :class:`VisitRecord`."""
         *codes, stamps = self._columns
@@ -157,7 +165,7 @@ class TraceDataset:
         given[stamps == _NO_TIMESTAMP] = None
         return tuple(map(VisitRecord, *ids, given.tolist()))
 
-    @cached_property
+    @_kept
     def title_users(self):
         """Each title's distinct visitors, as a frozenset of user ids."""
         bounds, users = self._ranked
@@ -165,24 +173,24 @@ class TraceDataset:
         return {title: frozenset(names[a:b]) for title, a, b in
                 zip(self._vocabularies[1].tolist(), bounds, bounds[1:])}
 
-    @cached_property
+    @_kept
     def title_cell_visits(self):
         """Each title's visits per cell, as ``{cell: visits}``."""
         return self._cell_maps(1)
 
-    @cached_property
+    @_kept
     def user_cell_visits(self):
         """Each user's visits per cell, as ``{cell: visits}``."""
         return self._cell_maps(0)
 
-    @cached_property
+    @_kept
     def user_top_cell(self):
         """Each user's most visited cell (ties by ascending cell id)."""
         bounds, cells, _ = self._user_cells
         top = self._vocabularies[2][cells[bounds[:-1]]]
         return dict(zip(self.user_visits, top.tolist()))
 
-    @cached_property
+    @_kept
     def user_rank(self):
         """Each user's 0-based position in descending activity order."""
         return dict(zip(self.user_visits, self._user_ranks.tolist()))
@@ -229,7 +237,7 @@ class TraceDataset:
         code = self._title_code(title)
         start, stop = self._ranked[0][code:code + 2]
         if isinstance(coverage, tuple):
-            k = np.array(_ceil_counts(coverage, stop - start))
+            k = np.array([ceil_count(c, stop - start) for c in coverage])
         else:
             k = ceil_count(coverage, stop - start)
         bounds, first, _, hits, covered = self._targets
@@ -253,13 +261,6 @@ class TraceDataset:
             for a, b in zip(self._vocabularies + self._columns,
                             other._vocabularies + other._columns)
         )
-
-
-@lru_cache(maxsize=4096)
-def _ceil_counts(grid, n):
-    """:func:`ceil_count` of each coverage of a grid: sweeps round one grid
-    for every title, and many titles share a visitor count ``n``."""
-    return tuple(ceil_count(c, n) for c in grid)
 
 
 class _Columns:
@@ -584,14 +585,14 @@ def parse_trace(path):
                 head = io.StringIO(header, newline="")
                 _add_lines(columns, itertools.chain(head, handle), 0, path)
     except UnicodeDecodeError:
-        # Its position is within the decoder's buffer: find it in the file.
+        # Its offset is in the decoder's buffer: drop the rows, find its line.
+        columns.blocks = columns.codes = None
         with open(path, "rb") as handle:
-            data = handle.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceFormatError(data.count(b"\n", 0, exc.start) + 1,
-                                   str(exc)) from None
+            for line_no, line in enumerate(handle, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise TraceFormatError(line_no, str(exc)) from None
         raise
     dataset = columns.build()
     if not dataset.total_visits:

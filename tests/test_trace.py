@@ -214,7 +214,8 @@ class TestParseBlocks:
     def test_invalid_utf8_names_its_line(self, tmp_path, lines, where):
         bad = 7 if where == "first_block" else len(lines) - 10
         data = (HEADER + "".join(lines)).encode()
-        offset = len((HEADER + "".join(lines[:bad])).encode()) + 2
+        line_start = len((HEADER + "".join(lines[:bad])).encode())
+        offset = line_start + 2
         assert (offset > _CHUNK_CHARS) == (where == "after_first_block")
         path = tmp_path / "trace.csv"
         path.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
@@ -222,7 +223,7 @@ class TestParseBlocks:
             parse_trace(path)
         assert str(exc.value) == (
             f"line {bad + 2}: 'utf-8' codec can't decode byte 0xff in "
-            f"position {offset}: invalid start byte")
+            f"position {offset - line_start}: invalid start byte")
 
 
 #: Rows that parse, by how they are written.
