@@ -198,10 +198,6 @@ def _handle_gen(args):
     return 0
 
 
-def _format_value(value):
-    return repr(value) if isinstance(value, float) else value
-
-
 def _write_rows(outdir, stem, fmt, header, rows):
     """Write one table as CSV or as JSON rows mirroring the CSV columns."""
     path = outdir / f"{stem}.{fmt}"
@@ -209,8 +205,7 @@ def _write_rows(outdir, stem, fmt, header, rows):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_format_value(v) for v in row])
+            writer.writerows(rows)
     else:
         payload = [dict(zip(header, row)) for row in rows]
         with open(path, "w", encoding="utf-8") as handle:
@@ -262,7 +257,7 @@ def _plan_rows(dataset, case, coverage):
     for title in titles_by_popularity(dataset):
         breakdown, hits = _cost(dataset, title, case, coverage)
         estimated = breakdown.broadcast_transmissions
-        actual = dataset._title_cells[dataset._title_code(title)]
+        actual = dataset._planning[2][dataset._title_code(title)]
         breakdown_rows.append(breakdown_row(breakdown))
         partition_rows.append((title, estimated, actual, hits, actual - hits,
                                estimated - hits, breakdown.missed_visits))

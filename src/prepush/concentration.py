@@ -81,20 +81,22 @@ def concentration_curve(dataset, kind):
         ascending identifier.
     """
     if kind == "user":
-        counts = dataset.user_visits
+        counts = np.fromiter(dataset.user_visits.values(), np.int64)
     elif kind == "title":
-        counts = dataset.title_visits
+        counts = np.fromiter(dataset.title_visits.values(), np.int64)
     elif kind == "cell":
-        counts = cell_visit_counts(dataset)
+        counts = np.bincount(dataset._columns[2])
     else:
         raise ValueError(f"unknown entity kind: {kind!r}")
-    if not counts:
+    if not len(counts):
         raise EmptyTraceError("cannot build a curve over an empty dataset")
 
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    n, total = len(ordered), dataset.total_visits
-    running = accumulate(count for _, count in ordered)
-    points = tuple((k / n, r / total) for k, r in enumerate(running, start=1))
+    # The points depend on the sorted counts only, not on how ties between
+    # entities are ordered.  Below 2**53, float64 division gives the bits
+    # Python's int division gives.
+    fractions = np.arange(1, len(counts) + 1) / len(counts)
+    shares = np.cumsum(np.sort(counts)[::-1]) / dataset.total_visits
+    points = tuple(zip(fractions.tolist(), shares.tolist()))
     return ConcentrationCurve(entity_kind=kind, points=points)
 
 

@@ -95,7 +95,7 @@ def _cost(dataset, title, case, coverage):
     :func:`plan_title` for ``case`` and ``coverage``.
     """
     if case == CASE_PERFECT:
-        n_cells = dataset._title_cells[dataset._title_code(title)]
+        n_cells = dataset._planning[2][dataset._title_code(title)]
         return _breakdown(title, case, 1.0, n_cells, 0), n_cells
     if case == CASE_UNICAST:
         coverage = 0.0

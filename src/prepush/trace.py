@@ -15,12 +15,13 @@ are pure reads over them.
 Trace file format: UTF-8 text, one header line ``user_id,title_id,cell_id,
 timestamp``, comma-delimited rows, empty timestamp field allowed.
 Identifiers are restricted to ``[A-Za-z0-9_:-]+`` so no quoting is needed.
-The parser checks each block of about a megabyte with byte operations
-and splits it, all in C.  From the first block the check rejects to the
-end of the file it reads line by line with :mod:`csv`: that path still
-accepts the odd rows :mod:`csv` and ``int`` accept (quoted fields, CRLF
-line ends, ``+5`` timestamps), and it is the only place a parse error is
-raised.
+The parser checks each block of about a megabyte with byte operations,
+then finds its fields and codes its identifiers and timestamps with numpy
+over the block's bytes, looking up each distinct identifier once.  From
+the first block the check rejects to the end of the file it reads line
+by line with :mod:`csv`: that path still accepts the odd rows :mod:`csv`
+and ``int`` accept (quoted fields, CRLF line ends, ``+5`` timestamps), and
+it is the only place a parse error is raised.
 """
 
 import csv
@@ -54,6 +55,10 @@ _CHUNK_ROWS = 1 << 16
 #: The timestamp column's value for a visit without a timestamp.
 _NO_TIMESTAMP = -1
 _MAX_TIMESTAMP = int(np.iinfo(np.int64).max)
+#: Masks that keep a little-endian word's first 0 to 8 bytes.
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+#: The place values of a timestamp's digits, ones first.
+_PLACES = 10 ** np.arange(18, dtype=np.int64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,10 +87,10 @@ class VisitRecord:
 
 def _kept(build):
     """A property built on first use and then kept in the ``_views`` slot."""
-    def get(self):
-        if build.__name__ not in self._views:
-            self._views.setdefault(build.__name__, build(self))
-        return self._views[build.__name__]
+    def get(self, name=build.__name__):
+        if name not in self._views:
+            self._views.setdefault(name, build(self))
+        return self._views[name]
     return property(get, doc=build.__doc__)
 
 
@@ -115,8 +120,9 @@ class TraceDataset:
     the cell first appears, its code, and running sums of hit cells (cells
     the title was visited in) and of the visits those cells cover.
     Targeting a title's first k ranked visitors is then one binary search;
-    see :meth:`_targeting`.  ``title_users`` maps each title to the
-    frozenset of its visitors.
+    see :meth:`_targeting`.  Both are built on first use, in the one view
+    ``_planning``, so a dataset that is never planned over never holds
+    them.  ``title_users`` maps each title to the frozenset of its visitors.
     """
 
     title_visits: dict = field(repr=False)
@@ -130,17 +136,6 @@ class TraceDataset:
     _title_codes: dict = field(repr=False)
     #: Title identifiers by descending visit count, ties by ascending id.
     _popularity: tuple = field(repr=False)
-    #: The ranked index ``(bounds, users)``: title code k's visitors are
-    #: ``users[bounds[k]:bounds[k + 1]]``, most active first.
-    _ranked: tuple = field(repr=False)
-    #: The first-target table ``(bounds, first, cells, hits, covered)``:
-    #: title code k's entries are ``bounds[k]:bounds[k + 1]``; ``first``
-    #: is the ranked-index position at which ``cells`` first appears, and
-    #: ``hits[i]`` and ``covered[i]`` sum the hit cells and the covered
-    #: visits of entries before i.
-    _targets: tuple = field(repr=False)
-    #: The number of distinct cells each title code was visited in.
-    _title_cells: list = field(repr=False)
     #: ``(bounds, cells, counts)``: user code k's cells and visits are
     #: ``bounds[k]:bounds[k + 1]``, most visited first, ties by cell id.
     _user_cells: tuple = field(repr=False)
@@ -168,7 +163,7 @@ class TraceDataset:
     @_kept
     def title_users(self):
         """Each title's distinct visitors, as a frozenset of user ids."""
-        bounds, users = self._ranked
+        bounds, users = self._planning[0]
         names = self._vocabularies[0][users].tolist()
         return {title: frozenset(names[a:b]) for title, a, b in
                 zip(self._vocabularies[1].tolist(), bounds, bounds[1:])}
@@ -209,6 +204,50 @@ class TraceDataset:
         return {key: dict(zip(cells[a:b], counts[a:b]))
                 for key, a, b in zip(ids.tolist(), bounds, bounds[1:])}
 
+    @_kept
+    def _planning(self):
+        """``(ranked, targets, title_cells)``: the ranked index ``(bounds,
+        users)``, the first-target table ``(bounds, first, cells, hits,
+        covered)``, and each title code's number of distinct cells.
+
+        Title code k's entries in either table are ``bounds[k]:bounds[k +
+        1]``; ``first`` is the ranked-index position at which ``cells``
+        first appears, and ``hits[i]`` and ``covered[i]`` sum the hit cells
+        and the covered visits of entries before i.
+        """
+        users, titles, cells, _ = self._columns
+        n_users, n_titles, n_cells = map(len, self._vocabularies)
+        # The ranked index: one sort of (title, user rank) keys, deduplicated.
+        keys = _pair_keys(titles, self._user_ranks[users], n_users)
+        keys.sort()
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        ranked_users = self._user_ranks.argsort()[keys % n_users].astype(
+            np.int32)
+        ranked_titles = keys // n_users
+        del keys
+        tc_keys, tc_counts = np.unique(_pair_keys(titles, cells, n_cells),
+                                       return_counts=True)
+
+        # Each (title, target cell) pair at the first ranked position it
+        # appears at, with the visits the cell covers (0 where the title was
+        # never visited in it).
+        uc_bounds, uc_cells, _ = self._user_cells
+        top_cells = uc_cells[uc_bounds[:-1]]
+        pairs = ranked_titles * n_cells + top_cells[ranked_users]
+        first = np.sort(_distinct(pairs)[1])
+        pairs = pairs[first]
+        at = tc_keys.searchsorted(pairs).clip(max=len(tc_keys) - 1)
+        covers = np.where(tc_keys[at] == pairs, tc_counts[at], 0)
+        hits = np.zeros(len(first) + 1, dtype=np.int32)
+        np.cumsum(covers > 0, out=hits[1:])
+        covered = np.zeros(len(first) + 1, dtype=np.int64)
+        np.cumsum(covers, out=covered[1:])
+        return ((_bounds(ranked_titles, n_titles), ranked_users),
+                (_bounds(ranked_titles[first], n_titles), first,
+                 top_cells[ranked_users[first]].astype(np.int32), hits,
+                 covered),
+                np.bincount(tc_keys // n_cells).tolist())
+
     def _title_code(self, title):
         try:
             return self._title_codes[title]
@@ -218,7 +257,7 @@ class TraceDataset:
     def _ranked_visitors(self, title):
         """The title's distinct visitors, most active first."""
         code = self._title_code(title)
-        bounds, users = self._ranked
+        bounds, users = self._planning[0]
         return self._vocabularies[0][
             users[bounds[code]:bounds[code + 1]]].tolist()
 
@@ -235,12 +274,12 @@ class TraceDataset:
         one coverage, or a list with one entry per coverage for a tuple.
         """
         code = self._title_code(title)
-        start, stop = self._ranked[0][code:code + 2]
+        (ranked, _), (bounds, first, _, hits, covered), _ = self._planning
+        start, stop = ranked[code:code + 2]
         if isinstance(coverage, tuple):
             k = np.array([ceil_count(c, stop - start) for c in coverage])
         else:
             k = ceil_count(coverage, stop - start)
-        bounds, first, _, hits, covered = self._targets
         top = bounds[code]
         end = first.searchsorted(start + k)
         return ((end - top).tolist(), (hits[end] - hits[top]).tolist(),
@@ -249,8 +288,9 @@ class TraceDataset:
 
     def _target_cells(self, title, n_cells):
         """The title's first ``n_cells`` target cells, as a frozenset."""
-        top = self._targets[0][self._title_code(title)]
-        cells = self._targets[2][top:top + n_cells]
+        bounds, _, cells, *_ = self._planning[1]
+        top = bounds[self._title_code(title)]
+        cells = cells[top:top + n_cells]
         return frozenset(self._vocabularies[2][cells].tolist())
 
     def __eq__(self, other):
@@ -264,7 +304,9 @@ class TraceDataset:
 
 
 class _Columns:
-    """Code columns collected block by block for :func:`_from_columns`."""
+    """Code columns collected block by block for :func:`_from_columns`,
+    with one identifier-to-code dict per kind shared by every block;
+    :func:`_add_rows` appends its code arrays to ``blocks`` itself."""
 
     def __init__(self):
         self.codes = (defaultdict(), defaultdict(), defaultdict())
@@ -365,19 +407,10 @@ def _from_columns(vocabularies, users, titles, cells, timestamps=None):
     user_names, title_names = user_ids.tolist(), title_ids.tolist()
 
     user_counts = np.bincount(users, minlength=n_users)
-    by_rank = np.lexsort((_id_ranks(user_ids), -user_counts))
-    user_rank = np.empty(n_users, dtype=np.int64)
-    user_rank[by_rank] = np.arange(n_users)
+    # Sorting the activity order's permutation inverts it.
+    user_rank = np.lexsort((_id_ranks(user_ids), -user_counts)).argsort()
     title_counts = np.bincount(titles, minlength=n_titles)
     popularity = title_ids[np.lexsort((_id_ranks(title_ids), -title_counts))]
-
-    # The ranked index: one sort of (title, user rank) keys, deduplicated.
-    keys = _pair_keys(titles, user_rank[users], n_users)
-    keys.sort()
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    ranked_users = by_rank[keys % n_users].astype(np.int32)
-    ranked_titles = keys // n_users
-    del keys
 
     # The user-cell pairs by user, descending count and ascending cell id:
     # each user's first pair is their most active cell.
@@ -385,24 +418,6 @@ def _from_columns(vocabularies, users, titles, cells, timestamps=None):
                                    return_counts=True)
     uc_users, uc_cells = np.divmod(uc_keys, n_cells)
     top = np.lexsort((_id_ranks(cell_ids)[uc_cells], -uc_counts, uc_users))
-    uc_bounds = _bounds(uc_users, n_users)
-    uc_cells, uc_counts = uc_cells[top], uc_counts[top]
-    top_cells = uc_cells[uc_bounds[:-1]]
-    tc_keys, tc_counts = np.unique(_pair_keys(titles, cells, n_cells),
-                                   return_counts=True)
-
-    # The first-target table: each (title, target cell) pair at the first
-    # ranked position it appears at, with the visits the cell covers (0
-    # where the title was never visited in it).
-    pairs = ranked_titles * n_cells + top_cells[ranked_users]
-    first = np.sort(_distinct(pairs)[1])
-    pairs = pairs[first]
-    at = tc_keys.searchsorted(pairs).clip(max=len(tc_keys) - 1)
-    covers = np.where(tc_keys[at] == pairs, tc_counts[at], 0)
-    hits = np.zeros(len(first) + 1, dtype=np.int32)
-    np.cumsum(covers > 0, out=hits[1:])
-    covered = np.zeros(len(first) + 1, dtype=np.int64)
-    np.cumsum(covers, out=covered[1:])
 
     return TraceDataset(
         title_visits=dict(zip(title_names, title_counts.tolist())),
@@ -412,12 +427,8 @@ def _from_columns(vocabularies, users, titles, cells, timestamps=None):
         _columns=(users, titles, cells, timestamps),
         _title_codes=dict(zip(title_names, range(n_titles))),
         _popularity=tuple(popularity.tolist()),
-        _ranked=(_bounds(ranked_titles, n_titles), ranked_users),
-        _targets=(_bounds(ranked_titles[first], n_titles), first,
-                  top_cells[ranked_users[first]].astype(np.int32), hits,
-                  covered),
-        _title_cells=np.bincount(tc_keys // n_cells).tolist(),
-        _user_cells=(uc_bounds, uc_cells, uc_counts),
+        _user_cells=(_bounds(uc_users, n_users), uc_cells[top],
+                     uc_counts[top]),
         _user_ranks=user_rank,
     )
 
@@ -456,22 +467,51 @@ def build_indexes(records):
 def _add_rows(columns, rows):
     """Append a block of rows and return True if each is three identifiers
     and a timestamp of at most 18 digits (so it fits int64) or none; else
-    append nothing and return False.  Non-ASCII text fails the byte check."""
+    append nothing and return False.  Non-ASCII text fails the byte check.
+
+    An identifier's key is its bytes zero-padded to whole little-endian
+    8-byte words (identifiers hold no NUL), so the block's distinct keys
+    come from one sort and only those are looked up in the vocabulary.
+    """
     data = rows.encode()
     if (data.translate(None, _ID_BYTES) != b",,,\n" * data.count(b"\n")
             or b",," in data or b"\n," in data or data.startswith(b",")):
         return False
-    fields = rows.replace("\n", ",").split(",")
-    end = len(fields) - 1
-    stamps = fields[3:end:4]
-    column = np.full(len(stamps), _NO_TIMESTAMP, dtype=np.int64)
-    if any(stamps):
-        if not "".join(stamps).isdigit() or max(map(len, stamps)) > 18:
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    starts, sizes = starts.reshape(-1, 4), (ends - starts).reshape(-1, 4)
+    # Padding by the longest field keeps every window read inside the buffer.
+    buf = np.frombuffer(data + bytes(sizes.max() + 8), np.uint8)
+    stamps = np.full(len(starts), _NO_TIMESTAMP, dtype=np.int64)
+    given = np.flatnonzero(sizes[:, 3])
+    if len(given):
+        size = sizes[given, 3]
+        if size.max() > 18:
             return False
-        stamps = np.array(stamps)
-        given = stamps != ""
-        column[given] = stamps[given].astype(np.int64)
-    columns.add(fields[0:end:4], fields[1:end:4], fields[2:end:4], column)
+        at = np.arange(size.max())
+        place = size[:, None] - 1 - at
+        digits = buf[starts[given, 3, None] + at] - ord("0")
+        digits[place < 0] = 0
+        if (digits > 9).any():
+            return False
+        stamps[given] = (digits * _PLACES[place.clip(0)]).sum(axis=1)
+    window = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+    for kind, (codes, blocks) in enumerate(zip(columns.codes, columns.blocks)):
+        start, size = starts[:, kind], sizes[:, kind]
+        words = np.stack([window[start + at] & _MASKS[(size - at).clip(0, 8)]
+                          for at in range(0, size.max(), 8)])
+        # Equal keys end up side by side; one unstable sort for one word.
+        order = (np.lexsort(words[::-1]) if len(words) > 1
+                 else words[0].argsort())
+        words = words[:, order]
+        new = np.r_[True, (words[:, 1:] != words[:, :-1]).any(axis=0)]
+        names = np.ascontiguousarray(words[:, new].T, dtype="<u8").view(
+            f"S{8 * len(words)}").astype(str).ravel().tolist()
+        local = np.fromiter(map(codes.__getitem__, names), np.int32)
+        blocks.append(np.empty(len(order), dtype=np.int32))
+        blocks[-1][order] = local[np.cumsum(new) - 1]
+    columns.blocks[3].append(stamps)
     return True
 
 

@@ -197,6 +197,20 @@ def read_trace(text):
     return visits
 
 
+def concentration_points(records, kind):
+    """The cumulative-share curve of ``kind`` ("user", "title" or "cell"):
+    counts by descending count, ties by ascending id, and each point
+    ``(k / n, running / total)`` in Python int division."""
+    counts = {}
+    for r in records:
+        key = getattr(r, f"{kind}_id")
+        counts[key] = counts.get(key, 0) + 1
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    running = accumulate(count for _, count in ordered)
+    return tuple((k / len(ordered), r / len(records))
+                 for k, r in enumerate(running, start=1))
+
+
 def cell_counts(records):
     counts = {}
     for r in records:

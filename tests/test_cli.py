@@ -365,9 +365,13 @@ def test_commands_build_no_view(tmp_path, monkeypatch):
 
     for view in VIEWS:
         monkeypatch.setattr(TraceDataset, view, property(refuse))
-    trace = gen_trace(tmp_path)  # runs `gen` under the same patch
+    # Only the commands that plan build the planning tables.
+    with monkeypatch.context() as planning:
+        planning.setattr(TraceDataset, "_planning", property(refuse))
+        trace = gen_trace(tmp_path)  # runs `gen` under the same patch
+        assert run(["stats", "--input", str(trace),
+                    "--output", str(tmp_path / "stats")]) == 0
     for command, extra in (
-        ("stats", []),
         ("plan", ["--mode", "perfect"]),
         ("plan", ["--mode", "assumed"]),
         ("plan", ["--mode", "limited"]),

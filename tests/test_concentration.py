@@ -24,6 +24,7 @@ from prepush import (
     top_fraction_share,
     user_cell_shares,
 )
+from prepush.concentration import CURVE_KINDS
 
 
 class TestConcentrationCurve:
@@ -72,6 +73,23 @@ class TestConcentrationCurve:
             want = oracle.cell_counts(records)
             # Equal values, keys in order of first appearance.
             assert list(counts.items()) == list(want.items())
+
+    @given(st.lists(st.builds(
+        lambda u, t, c: VisitRecord(f"u{u}", f"t{t}", f"c{c}"),
+        *[st.integers(1, 12)] * 3), min_size=1, max_size=80),
+        st.sampled_from(CURVE_KINDS))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_oracle_exactly(self, records, kind):
+        # Ids 1-12: ascending id order is neither numeric nor first-seen.
+        curve = concentration_curve(build_indexes(records), kind)
+        assert curve.points == oracle.concentration_points(records, kind)
+
+    def test_generated_equals_oracle_exactly(self):
+        ds = generate(SynthParams(n_users=400, n_titles=300, n_cells=60,
+                                  n_visits=20_000, seed=8))
+        for kind in CURVE_KINDS:
+            assert concentration_curve(ds, kind).points == (
+                oracle.concentration_points(ds.records, kind))
 
     def test_unknown_kind(self):
         ds = make_random_dataset(seeded_rng(2))

@@ -253,7 +253,23 @@ BAD_FORMS = {
     "blank": lambda u, t, c, n: "\n",
 }
 ROW_FORMS = {**GOOD_FORMS, **BAD_FORMS}
-identifiers = st.text("aZ09_:-", min_size=1, max_size=3)
+#: 1 to 20 bytes: keys of one to three 8-byte words.
+identifiers = st.text("aZ09_:-", min_size=1, max_size=20)
+#: Ids of 8, 9, 16 and 17 bytes, some sharing their first 8 or 16 bytes,
+#: one of 40 bytes, and short ones last, at the end of the block.
+WORD_EDGE_ROWS = (
+    ("abcdefgh", "abcdefgh0", "abcdefghijklmnop", "5"),
+    ("a" * 40, "b" * 40, "c" * 40, "0"),
+    ("abcdefgh0", "abcdefgh", "abcdefghijklmnop0", ""),
+    ("abcdefgh1", "abcdefghijklmnop", "abcdefgh", "123456789012345678"),
+    ("abcdefghijklmnop1", "abcdefgh0", "abcdefghijklmnop0", "7"),
+    ("abcdefgh", "abcdefghijklmnop0", "abcdefgh1", "007"),
+    ("a", "b", "c", "1"),
+)
+WORD_EDGE_TEXT = HEADER + "".join(",".join(row) + "\n"
+                                  for row in WORD_EDGE_ROWS)
+WORD_EDGE_RECORDS = [VisitRecord(*ids, int(n) if n else None)
+                     for *ids, n in WORD_EDGE_ROWS]
 
 
 def row_text(form, user, title, cell, number):
@@ -295,6 +311,8 @@ class TestBlockCheck:
             oracle.ROWS_RE.fullmatch(block))
 
     @given(trace_texts(), st.integers(8, 80))
+    @example(WORD_EDGE_TEXT, 8)
+    @example(WORD_EDGE_TEXT, _CHUNK_CHARS)
     @settings(max_examples=250, deadline=None)
     def test_parse_matches_csv_reader(self, tmp_path_factory, text, chunk):
         path = tmp_path_factory.mktemp("fuzz") / "trace.csv"
@@ -313,6 +331,27 @@ class TestBlockCheck:
             else:
                 assert [(r.user_id, r.title_id, r.cell_id, r.timestamp)
                         for r in parse_trace(path).records] == want
+
+
+visit_records = st.builds(
+    VisitRecord, identifiers, identifiers, identifiers,
+    st.none() | st.integers(0, 10**18 - 1) | st.just(2**63 - 1))
+
+
+@given(st.lists(visit_records, min_size=1, max_size=25), st.integers(8, 80))
+@example(WORD_EDGE_RECORDS, 8)
+@example(WORD_EDGE_RECORDS, _CHUNK_CHARS)
+@settings(max_examples=200, deadline=None)
+def test_write_parse_roundtrip(tmp_path_factory, records, chunk):
+    """Blocks of a few rows: every block after the first merges its
+    identifiers into the vocabulary the earlier blocks built."""
+    ds = build_indexes(records)
+    path = tmp_path_factory.mktemp("roundtrip") / "trace.csv"
+    write_trace(ds, path)
+    with mock.patch.object(trace, "_CHUNK_CHARS", chunk):
+        back = parse_trace(path)
+    assert back == ds
+    assert back.records == tuple(records)
 
 
 class TestWrite:
