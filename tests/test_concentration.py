@@ -80,7 +80,6 @@ class TestConcentrationCurve:
         st.sampled_from(CURVE_KINDS))
     @settings(max_examples=150, deadline=None)
     def test_equals_oracle_exactly(self, records, kind):
-        # Ids 1-12: ascending id order is neither numeric nor first-seen.
         curve = concentration_curve(build_indexes(records), kind)
         assert curve.points == oracle.concentration_points(records, kind)
 
