@@ -27,7 +27,7 @@ from .planning import (
     titles_by_popularity,
 )
 from .synth import SynthParams, generate
-from .trace import parse_trace, write_trace
+from .trace import load_trace, write_trace
 
 MODE_CASES = {
     "perfect": CASE_PERFECT,
@@ -215,7 +215,7 @@ def _write_rows(outdir, stem, fmt, header, rows):
 
 
 def _handle_stats(args):
-    dataset = parse_trace(args.input)
+    dataset = load_trace(args.input)
     curves = {kind: concentration_curve(dataset, kind)
               for kind in ("user", "title", "cell")}
     profile = geo_concentration_profile(dataset, args.max_rank)
@@ -265,7 +265,7 @@ def _plan_rows(dataset, case, coverage):
 
 
 def _handle_plan(args):
-    dataset = parse_trace(args.input)
+    dataset = load_trace(args.input)
     case = MODE_CASES[args.mode]
     ratios = _curve_ratios(case, args.ratio_grid, args.coverage)
     breakdown_rows, partition_rows = _plan_rows(dataset, case, args.coverage)
@@ -332,7 +332,7 @@ def _select_sweep_titles(dataset, titles_arg):
 
 
 def _handle_sweep(args):
-    dataset = parse_trace(args.input)
+    dataset = load_trace(args.input)
     sweeps = [
         sweep_coverage(dataset, title, args.coverage_grid)
         for title in _select_sweep_titles(dataset, args.titles)

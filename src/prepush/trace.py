@@ -10,7 +10,9 @@ code columns; :func:`parse_trace`, :func:`build_indexes` and
 ``synth.generate`` all feed it, and maps of identifiers beyond the visit
 counts are built on first use.  Datasets are immutable after construction
 and safe to share across threads; all analysis functions in this package
-are pure reads over them.
+are pure reads over them.  :func:`load_trace` parses a file once, then
+loads its columns from a sidecar ``.<name>.prepush.npz`` keyed by its
+sha256; a stale or damaged one is parsed over, and any is safe to delete.
 
 Trace file format: UTF-8 text, one header line ``user_id,title_id,cell_id,
 timestamp``, comma-delimited rows, empty timestamp field allowed.
@@ -25,12 +27,16 @@ it is the only place a parse error is raised.
 """
 
 import csv
+import hashlib
 import io
 import itertools
+import os
 import re
+import tempfile
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -59,6 +65,8 @@ _MAX_TIMESTAMP = int(np.iinfo(np.int64).max)
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 #: The place values of a timestamp's digits, ones first.
 _PLACES = 10 ** np.arange(18, dtype=np.int64)
+#: A sidecar's key before the file's sha256: bump it when the layout changes.
+_SIDECAR_KEY = "prepush sidecar 1 sha256 "
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,6 +150,8 @@ class TraceDataset:
     #: Each user code's position in descending activity order.
     _user_ranks: np.ndarray = field(repr=False)
     _views: dict = field(default_factory=dict, init=False, repr=False)
+    #: The ``_planning`` tables once built, for :meth:`_targeting` to read.
+    _tables: tuple = field(default=None, init=False, repr=False)
 
     @property
     def n_titles(self):
@@ -242,11 +252,12 @@ class TraceDataset:
         np.cumsum(covers > 0, out=hits[1:])
         covered = np.zeros(len(first) + 1, dtype=np.int64)
         np.cumsum(covers, out=covered[1:])
-        return ((_bounds(ranked_titles, n_titles), ranked_users),
-                (_bounds(ranked_titles[first], n_titles), first,
-                 top_cells[ranked_users[first]].astype(np.int32), hits,
-                 covered),
-                np.bincount(tc_keys // n_cells).tolist())
+        object.__setattr__(self, "_tables", (
+            (_bounds(ranked_titles, n_titles), ranked_users),
+            (_bounds(ranked_titles[first], n_titles), first,
+             top_cells[ranked_users[first]].astype(np.int32), hits, covered),
+            np.bincount(tc_keys // n_cells).tolist()))
+        return self._tables
 
     def _title_code(self, title):
         try:
@@ -274,7 +285,8 @@ class TraceDataset:
         one coverage, or a list with one entry per coverage for a tuple.
         """
         code = self._title_code(title)
-        (ranked, _), (bounds, first, _, hits, covered), _ = self._planning
+        (ranked, _), (bounds, first, _, hits, covered), _ = (
+            self._tables or self._planning)
         start, stop = ranked[code:code + 2]
         if isinstance(coverage, tuple):
             k = np.array([ceil_count(c, stop - start) for c in coverage])
@@ -589,7 +601,7 @@ def _add_blocks(columns, handle, path):
                 _add_lines(columns, itertools.chain(head, handle),
                            lines_before, path)
                 return
-            lines_before += rows.count("\n")
+            lines_before += len(columns.blocks[3][-1])  # one stamp a row
         if not text:
             return
 
@@ -637,6 +649,54 @@ def parse_trace(path):
     dataset = columns.build()
     if not dataset.total_visits:
         raise EmptyTraceError(f"{path}: trace contains zero records")
+    return dataset
+
+
+def load_trace(path):
+    """:func:`parse_trace` through the file's sidecar (see the module)."""
+    path = Path(path)
+    if not path.is_file():
+        return parse_trace(path)
+    sidecar = path.with_name(f".{path.name}.prepush.npz")
+    with open(path, "rb") as handle:
+        key = _SIDECAR_KEY + hashlib.file_digest(handle, "sha256").hexdigest()
+    try:
+        with np.load(sidecar, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        n, stamps = len(arrays["codes0"]), arrays["timestamps"]
+        hit = (str(arrays["key"]) == key and stamps.dtype == np.int64
+               and stamps.shape in ((0,), (n,)))
+        for ids, codes in ((arrays[f"ids{k}"], arrays[f"codes{k}"])
+                           for k in range(3)):
+            hit = (hit and ids.dtype.kind == "S" and ids.ndim == 1
+                   and codes.dtype == np.int32 and codes.shape == (n,)
+                   and 0 <= codes.min() and codes.max() < len(ids))
+    except Exception:  # an unreadable sidecar, or no visits, is a miss
+        hit = False
+    if hit:
+        # Popped into the call, so the loaded codes go once renumbered.
+        return _from_columns(
+            [arrays.pop(f"ids{k}").astype(str).tolist() for k in range(3)],
+            arrays.pop("codes0"), arrays.pop("codes1"), arrays.pop("codes2"),
+            stamps if len(stamps) else None)
+    dataset = parse_trace(path)
+    # Every array is stored, an empty one for no timestamps: a damaged zip
+    # directory can drop a member, but each member's CRC is checked.
+    stamps = dataset._columns[3]
+    arrays = {"key": key, "timestamps": stamps if (
+        stamps != _NO_TIMESTAMP).any() else stamps[:0]}
+    for k, (ids, codes) in enumerate(zip(dataset._vocabularies,
+                                         dataset._columns)):
+        arrays[f"ids{k}"], arrays[f"codes{k}"] = ids.astype("S"), codes
+    temp = None
+    try:
+        fd, temp = tempfile.mkstemp(".tmp", sidecar.name, sidecar.parent)
+        with open(fd, "wb") as handle:
+            np.savez(handle, **arrays)
+        os.replace(temp, sidecar)
+    except OSError:  # a read-only directory or a full disk, say
+        if temp:
+            os.unlink(temp)
     return dataset
 
 

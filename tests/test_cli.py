@@ -1,10 +1,11 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
 import oracle
-from prepush import TraceDataset, parse_trace
+from prepush import TraceDataset, parse_trace, trace
 from prepush.cli import main
 
 
@@ -359,17 +360,25 @@ VIEWS = ("title_cell_visits", "user_cell_visits", "user_top_cell",
          "user_rank", "title_users", "records")
 
 
-def test_commands_build_no_view(tmp_path, monkeypatch):
+def check_commands_build_no_view(tmp_path, monkeypatch, warm):
+    """Run every command with the sidecar removed first, or written first
+    (``warm``), and with every view refused."""
     def refuse(self):
         raise AssertionError("a command built a view")
+
+    def prepare(path):
+        sidecar_of(path).unlink(missing_ok=True)
+        if warm:
+            trace.load_trace(path)
 
     for view in VIEWS:
         monkeypatch.setattr(TraceDataset, view, property(refuse))
     # Only the commands that plan build the planning tables.
     with monkeypatch.context() as planning:
         planning.setattr(TraceDataset, "_planning", property(refuse))
-        trace = gen_trace(tmp_path)  # runs `gen` under the same patch
-        assert run(["stats", "--input", str(trace),
+        path = gen_trace(tmp_path)  # runs `gen` under the same patch
+        prepare(path)
+        assert run(["stats", "--input", str(path),
                     "--output", str(tmp_path / "stats")]) == 0
     for command, extra in (
         ("plan", ["--mode", "perfect"]),
@@ -377,5 +386,73 @@ def test_commands_build_no_view(tmp_path, monkeypatch):
         ("plan", ["--mode", "limited"]),
         ("sweep", []),
     ):
-        assert run([command, "--input", str(trace),
+        prepare(path)
+        assert run([command, "--input", str(path),
                     "--output", str(tmp_path / command), *extra]) == 0
+
+
+def test_commands_build_no_view(tmp_path, monkeypatch):
+    check_commands_build_no_view(tmp_path, monkeypatch, warm=False)
+
+
+def test_commands_build_no_view_on_a_hit(tmp_path, monkeypatch):
+    check_commands_build_no_view(tmp_path, monkeypatch, warm=True)
+
+
+def sidecar_of(path):
+    return path.with_name(f".{path.name}.prepush.npz")
+
+
+class TestSidecar:
+    COMMANDS = (
+        ("stats", ["--format", "json"]),
+        ("plan", ["--mode", "assumed"]),
+        ("plan", ["--mode", "limited", "--coverage", "0.3"]),
+        ("sweep", ["--titles", "1,2,5"]),
+    )
+
+    def test_cold_and_warm_outputs_byte_identical(self, tmp_path,
+                                                   monkeypatch):
+        def refuse_parse(path):
+            raise AssertionError("parsed a trace its sidecar holds")
+
+        path = gen_trace(tmp_path, n_visits=1500)
+        for i, (command, extra) in enumerate(self.COMMANDS):
+            outputs = {}
+            for state in ("cold", "warm"):
+                with monkeypatch.context() as patch:
+                    if state == "cold":
+                        sidecar_of(path).unlink(missing_ok=True)
+                    else:
+                        assert sidecar_of(path).exists()
+                        patch.setattr(trace, "parse_trace", refuse_parse)
+                    outdir = tmp_path / f"{command}{i}_{state}"
+                    assert run([command, "--input", str(path),
+                                "--output", str(outdir), *extra]) == 0
+                outputs[state] = {p.name: p.read_bytes()
+                                  for p in outdir.iterdir()}
+            assert outputs["cold"] == outputs["warm"]
+            assert outputs["cold"]
+            # The sidecar goes next to the input, never into the output.
+            assert not any(".prepush" in name for name in outputs["cold"])
+
+    def test_write_failure_is_ignored(self, tmp_path, monkeypatch, capsys):
+        def fail(src, dst):
+            raise OSError(28, "No space left on device")
+
+        path = gen_trace(tmp_path)
+        monkeypatch.setattr(os, "replace", fail)
+        assert run(["stats", "--input", str(path),
+                    "--output", str(tmp_path / "stats")]) == 0
+        assert "error" not in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "stats", "trace.csv"]
+
+    def test_failed_parse_writes_no_sidecar(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        path.write_text("user_id,title_id,cell_id,timestamp\nu1,t1,,\n",
+                        encoding="utf-8")
+        assert run(["stats", "--input", str(path),
+                    "--output", str(tmp_path / "stats")]) == 1
+        assert "line 2: empty cell_id field" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]

@@ -1,5 +1,7 @@
+import os
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -567,3 +569,158 @@ def test_conservation_property(records):
         assert sum(ds.title_cell_visits[title].values()) == count
     for user, count in ds.user_visits.items():
         assert sum(ds.user_cell_visits[user].values()) == count
+
+
+def sidecar_of(path):
+    return path.with_name(f".{path.name}.prepush.npz")
+
+
+def refuse_parse(path):
+    raise AssertionError("parsed a trace whose sidecar holds it")
+
+
+def as_tuples(dataset):
+    return [(r.user_id, r.title_id, r.cell_id, r.timestamp)
+            for r in dataset.records]
+
+
+class TestLoadTrace:
+    """load_trace: the parse, or the sidecar written by an earlier one."""
+
+    @given(trace_texts(), st.integers(8, 80))
+    @example(WORD_EDGE_TEXT, 8)
+    @settings(max_examples=100, deadline=None)
+    def test_miss_then_hit_match_parse(self, tmp_path_factory, text, chunk):
+        path = tmp_path_factory.mktemp("load") / "trace.csv"
+        path.write_bytes(text.encode())
+        want = oracle.read_trace(text)
+        with mock.patch.object(trace, "_CHUNK_CHARS", chunk):
+            if isinstance(want, tuple):
+                with pytest.raises(TraceFormatError) as exc:
+                    trace.load_trace(path)
+                line, message = want
+                assert (exc.value.line_no, str(exc.value)) == (
+                    line, f"line {line}: {message}")
+            elif not want:
+                with pytest.raises(EmptyTraceError):
+                    trace.load_trace(path)
+            else:
+                parsed = parse_trace(path)
+                miss = trace.load_trace(path)
+                with mock.patch.object(trace, "parse_trace", refuse_parse):
+                    hit = trace.load_trace(path)
+                for ds in (miss, hit):
+                    assert ds == parsed
+                    assert as_tuples(ds) == want
+                    assert_first_appearance_order(ds, parsed.records)
+        # A failed parse writes no sidecar.
+        assert sorted(p.name for p in path.parent.iterdir()) == (
+            ["trace.csv"] if not want or isinstance(want, tuple)
+            else [".trace.csv.prepush.npz", "trace.csv"])
+
+    @pytest.mark.parametrize("row, error", [
+        ("u1,t1,c2,5\n", None),
+        ("u1,t1,c1,x\n", "line 2: non-integer timestamp 'x'"),
+    ])
+    def test_same_size_and_mtime_rewrite_is_parsed(self, tmp_path, row,
+                                                   error):
+        path = write_text(tmp_path, HEADER + "u1,t1,c1,5\n")
+        trace.load_trace(path)
+        before = path.stat()
+        path.write_text(HEADER + row, encoding="utf-8")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (
+            before.st_size, before.st_mtime_ns)
+        if error is None:
+            assert trace.load_trace(path) == parse_trace(path)
+            assert as_tuples(trace.load_trace(path)) == [("u1", "t1", "c2", 5)]
+            return
+        with pytest.raises(TraceFormatError) as want:
+            parse_trace(path)
+        with pytest.raises(TraceFormatError) as got:
+            trace.load_trace(path)
+        assert (got.value.line_no, str(got.value)) == (
+            want.value.line_no, str(want.value)) == (2, error)
+
+    @staticmethod
+    def rewrite(sidecar, drop=(), **changes):
+        with np.load(sidecar) as npz:
+            arrays = {name: npz[name] for name in npz.files
+                      if name not in drop}
+        arrays.update(changes)
+        with open(sidecar, "wb") as handle:
+            np.savez(handle, **arrays)
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "garbage", "empty", "wrong_version", "other_digest",
+        "code_too_large", "negative_code", "int64_codes", "short_column",
+        "object_ids", "unicode_ids", "timestamps_too_short",
+        "timestamps_dropped", "codes_dropped",
+    ])
+    def test_bad_sidecar_is_a_miss_and_rewritten(self, tmp_path, damage):
+        records = make_random_records(seeded_rng(31), with_timestamps=True)
+        path = tmp_path / "trace.csv"
+        write_trace(build_indexes(records), path)
+        sidecar = sidecar_of(path)
+        trace.load_trace(path)
+        good = sidecar.read_bytes()
+        with np.load(sidecar) as npz:
+            ids0, codes0 = npz["ids0"], npz["codes0"]
+            key = str(npz["key"])
+        if damage == "truncated":
+            sidecar.write_bytes(good[:len(good) // 2])
+        elif damage == "garbage":
+            sidecar.write_bytes(bytes(range(256)) * 8)
+        elif damage == "empty":
+            sidecar.write_bytes(b"")
+        elif damage == "wrong_version":
+            self.rewrite(sidecar, key=key.replace(" 1 ", " 0 "))
+        elif damage == "other_digest":
+            self.rewrite(sidecar, key=key[:-1] + ("0" if key[-1] != "0"
+                                                  else "1"))
+        elif damage == "code_too_large":
+            codes0 = codes0.copy()
+            codes0[-1] = len(ids0)
+            self.rewrite(sidecar, codes0=codes0)
+        elif damage == "negative_code":
+            self.rewrite(sidecar, codes0=codes0 - 1)
+        elif damage == "int64_codes":
+            self.rewrite(sidecar, codes0=codes0.astype(np.int64))
+        elif damage == "short_column":
+            self.rewrite(sidecar, codes0=codes0[:-1])
+        elif damage == "object_ids":
+            self.rewrite(sidecar, ids0=ids0.astype(str).astype(object))
+        elif damage == "unicode_ids":
+            self.rewrite(sidecar, ids0=ids0.astype(str))
+        elif damage == "timestamps_too_short":
+            with np.load(sidecar) as npz:
+                self.rewrite(sidecar, timestamps=npz["timestamps"][:-1])
+        elif damage == "timestamps_dropped":
+            # As a damaged zip directory can lose a member.
+            self.rewrite(sidecar, drop=("timestamps",))
+        elif damage == "codes_dropped":
+            self.rewrite(sidecar, drop=("codes2",))
+        assert sidecar.read_bytes() != good
+        assert trace.load_trace(path) == build_indexes(records)
+        assert sidecar.read_bytes() == good
+        with mock.patch.object(trace, "parse_trace", refuse_parse):
+            assert trace.load_trace(path).records == tuple(records)
+
+    def test_no_timestamps_stores_an_empty_column(self, tmp_path):
+        path = write_text(tmp_path, HEADER + "u1,t1,c1,\nu2,t1,c2,\n")
+        trace.load_trace(path)
+        with np.load(sidecar_of(path)) as npz:
+            assert npz["timestamps"].dtype == np.int64
+            assert npz["timestamps"].shape == (0,)
+            assert [npz[f"ids{k}"].dtype.kind for k in range(3)] == ["S"] * 3
+            assert [npz[f"codes{k}"].dtype for k in range(3)] == [np.int32] * 3
+        with mock.patch.object(trace, "parse_trace", refuse_parse):
+            assert trace.load_trace(path).records == (
+                VisitRecord("u1", "t1", "c1"), VisitRecord("u2", "t1", "c2"))
+
+    def test_missing_file_raises_as_parse(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as exc:
+            trace.load_trace(tmp_path / "nope.csv")
+        assert exc.value.filename == str(tmp_path / "nope.csv")
+        assert list(tmp_path.iterdir()) == []
