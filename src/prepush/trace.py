@@ -65,7 +65,7 @@ _MAX_TIMESTAMP = int(np.iinfo(np.int64).max)
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 #: The place values of a timestamp's digits, ones first.
 _PLACES = 10 ** np.arange(18, dtype=np.int64)
-#: A sidecar's key before the file's sha256: bump it when the layout changes.
+#: A sidecar's key before the sha256: bump it if the layout or parse changes.
 _SIDECAR_KEY = "prepush sidecar 1 sha256 "
 
 

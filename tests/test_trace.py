@@ -612,7 +612,8 @@ class TestLoadTrace:
                 for ds in (miss, hit):
                     assert ds == parsed
                     assert as_tuples(ds) == want
-                    assert_first_appearance_order(ds, parsed.records)
+                    assert_first_appearance_order(
+                        ds, [VisitRecord(*visit) for visit in want])
         # A failed parse writes no sidecar.
         assert sorted(p.name for p in path.parent.iterdir()) == (
             ["trace.csv"] if not want or isinstance(want, tuple)
