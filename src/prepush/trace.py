@@ -671,14 +671,14 @@ def load_trace(path):
             hit = (hit and ids.dtype.kind == "S" and ids.ndim == 1
                    and codes.dtype == np.int32 and codes.shape == (n,)
                    and 0 <= codes.min() and codes.max() < len(ids))
+        names = [arrays.pop(f"ids{k}").astype(str).tolist() for k in range(3)]
     except Exception:  # an unreadable sidecar, or no visits, is a miss
         hit = False
     if hit:
         # Popped into the call, so the loaded codes go once renumbered.
-        return _from_columns(
-            [arrays.pop(f"ids{k}").astype(str).tolist() for k in range(3)],
-            arrays.pop("codes0"), arrays.pop("codes1"), arrays.pop("codes2"),
-            stamps if len(stamps) else None)
+        return _from_columns(names, arrays.pop("codes0"), arrays.pop("codes1"),
+                             arrays.pop("codes2"),
+                             stamps if len(stamps) else None)
     dataset = parse_trace(path)
     # Every array is stored, an empty one for no timestamps: a damaged zip
     # directory can drop a member, but each member's CRC is checked.

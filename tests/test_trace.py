@@ -657,7 +657,7 @@ class TestLoadTrace:
         "truncated", "garbage", "empty", "wrong_version", "other_digest",
         "code_too_large", "negative_code", "int64_codes", "short_column",
         "object_ids", "unicode_ids", "timestamps_too_short",
-        "timestamps_dropped", "codes_dropped",
+        "timestamps_dropped", "codes_dropped", "non_ascii_ids",
     ])
     def test_bad_sidecar_is_a_miss_and_rewritten(self, tmp_path, damage):
         records = make_random_records(seeded_rng(31), with_timestamps=True)
@@ -702,6 +702,8 @@ class TestLoadTrace:
             self.rewrite(sidecar, drop=("timestamps",))
         elif damage == "codes_dropped":
             self.rewrite(sidecar, drop=("codes2",))
+        elif damage == "non_ascii_ids":
+            self.rewrite(sidecar, ids0=np.char.add(ids0, b"\xff"))
         assert sidecar.read_bytes() != good
         assert trace.load_trace(path) == build_indexes(records)
         assert sidecar.read_bytes() == good
