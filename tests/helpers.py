@@ -53,3 +53,8 @@ def dataset_from_counts(counts, kind):
 
 def seeded_rng(seed):
     return random.Random(seed)
+
+
+def sidecar_of(path):
+    """The parse sidecar trace.load_trace keeps next to a trace file."""
+    return path.with_name(f".{path.name}.prepush.npz")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracle
+from helpers import sidecar_of
 from prepush import TraceDataset, parse_trace, trace
 from prepush.cli import main
 
@@ -397,10 +398,6 @@ def test_commands_build_no_view(tmp_path, monkeypatch):
 
 def test_commands_build_no_view_on_a_hit(tmp_path, monkeypatch):
     check_commands_build_no_view(tmp_path, monkeypatch, warm=True)
-
-
-def sidecar_of(path):
-    return path.with_name(f".{path.name}.prepush.npz")
 
 
 class TestSidecar:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from helpers import make_random_records, seeded_rng
+from helpers import make_random_records, seeded_rng, sidecar_of
 from prepush import (
     EmptyTraceError,
     RecordValidationError,
@@ -569,10 +569,6 @@ def test_conservation_property(records):
         assert sum(ds.title_cell_visits[title].values()) == count
     for user, count in ds.user_visits.items():
         assert sum(ds.user_cell_visits[user].values()) == count
-
-
-def sidecar_of(path):
-    return path.with_name(f".{path.name}.prepush.npz")
 
 
 def refuse_parse(path):
