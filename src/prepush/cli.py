@@ -9,10 +9,16 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import MISSING, fields
+from itertools import count
 from operator import attrgetter
 from pathlib import Path
 
-from .concentration import concentration_curve, geo_concentration_profile
+from .concentration import (
+    CURVE_KINDS,
+    concentration_curve,
+    geo_concentration_profile,
+)
 from .errors import UnknownIdError
 from .planning import (
     CASE_ASSUMED_LOCATION,
@@ -20,6 +26,7 @@ from .planning import (
     CASE_PERFECT,
     DEFAULT_COVERAGE_GRID,
     DEFAULT_LIMITED_COVERAGE,
+    CostBreakdown,
     _cost,
     _curve_ratios,
     _traffic_curve,
@@ -38,14 +45,8 @@ MODE_CASES = {
 DEFAULT_RATIO_GRID = tuple(round(0.05 * k, 2) for k in range(0, 21))
 DEFAULT_SWEEP_RANKS = (1, 10, 100, 1000)
 
-_GEN_INT_KEYS = ("n_users", "n_titles", "n_cells", "n_visits",
-                 "max_cells_per_user", "seed")
-_GEN_FLOAT_KEYS = ("title_zipf_exponent", "user_zipf_exponent")
-_GEN_REQUIRED_KEYS = ("n_users", "n_titles", "n_cells", "n_visits")
 # Columns of breakdowns.csv, named as the CostBreakdown fields they hold.
-_BREAKDOWN_COLUMNS = ("title_id", "case", "coverage",
-                      "broadcast_transmissions", "missed_visits",
-                      "total_transmissions")
+_BREAKDOWN_COLUMNS = tuple(f.name for f in fields(CostBreakdown))
 
 
 def _float_list(text):
@@ -72,27 +73,27 @@ def build_parser():
         "--config",
         help="key=value file with SynthParams fields; flags override it",
     )
-    gen.add_argument("--n-users", type=int)
-    gen.add_argument("--n-titles", type=int)
-    gen.add_argument("--n-cells", type=int)
-    gen.add_argument("--n-visits", type=int)
-    gen.add_argument("--title-zipf-exponent", type=float)
-    gen.add_argument("--user-zipf-exponent", type=float)
-    gen.add_argument(
-        "--geo-profile", type=_float_list,
-        help="comma-separated per-rank cell shares, e.g. 0.58,0.22,0.09",
-    )
-    gen.add_argument("--max-cells-per-user", type=int)
-    gen.add_argument("--seed", type=int)
+    # One flag per SynthParams field, in field order; the one tuple field,
+    # geo_profile, takes a comma-separated list.
+    for f in fields(SynthParams):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type is not tuple:
+            gen.add_argument(flag, type=f.type)
+        else:
+            gen.add_argument(flag, type=_float_list, help="comma-separated "
+                             "per-rank cell shares, e.g. 0.58,0.22,0.09")
     gen.set_defaults(handler=_handle_gen)
 
+    # The trace and output flags every analysis command shares.
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--input", required=True, help="trace CSV to read")
+    files.add_argument("--output", required=True, help="output directory")
+    files.add_argument("--format", choices=("csv", "json"), default="csv")
+
     stats = sub.add_parser(
-        "stats",
+        "stats", parents=[files],
         help="write user/title/cell concentration curves and the geo profile",
     )
-    stats.add_argument("--input", required=True, help="trace CSV to read")
-    stats.add_argument("--output", required=True, help="output directory")
-    stats.add_argument("--format", choices=("csv", "json"), default="csv")
     stats.add_argument(
         "--max-rank", type=int, default=10,
         help="cell ranks reported in the geo profile (default 10)",
@@ -100,11 +101,9 @@ def build_parser():
     stats.set_defaults(handler=_handle_stats)
 
     plan = sub.add_parser(
-        "plan",
+        "plan", parents=[files],
         help="write per-title cost breakdowns and the traffic-vs-ratio curve",
     )
-    plan.add_argument("--input", required=True, help="trace CSV to read")
-    plan.add_argument("--output", required=True, help="output directory")
     plan.add_argument("--mode", choices=sorted(MODE_CASES), default="perfect")
     plan.add_argument(
         "--coverage", type=float, default=DEFAULT_LIMITED_COVERAGE,
@@ -115,14 +114,12 @@ def build_parser():
         default=DEFAULT_RATIO_GRID,
         help="broadcast ratios for the traffic curve (default 0,0.05,...,1)",
     )
-    plan.add_argument("--format", choices=("csv", "json"), default="csv")
     plan.set_defaults(handler=_handle_plan)
 
     sweep = sub.add_parser(
-        "sweep", help="write per-title cost-vs-coverage sweeps with optima"
+        "sweep", parents=[files],
+        help="write per-title cost-vs-coverage sweeps with optima",
     )
-    sweep.add_argument("--input", required=True, help="trace CSV to read")
-    sweep.add_argument("--output", required=True, help="output directory")
     sweep.add_argument(
         "--coverage-grid", type=_float_list, default=DEFAULT_COVERAGE_GRID,
         help="coverage fractions to evaluate (default 0.05,0.10,...,1.0)",
@@ -132,7 +129,6 @@ def build_parser():
         help="comma-separated popularity ranks (all-numeric tokens) or "
         "title ids; default ranks 1,10,100,1000 where available",
     )
-    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.set_defaults(handler=_handle_sweep)
 
     return parser
@@ -165,22 +161,23 @@ def _read_config(path):
 
 
 def _gen_params(args, parser_error):
+    params = {f.name: f for f in fields(SynthParams)}
     merged = {}
     if args.config:
         for key, text in _read_config(args.config).items():
-            if key in _GEN_INT_KEYS:
-                merged[key] = int(text)
-            elif key in _GEN_FLOAT_KEYS:
-                merged[key] = float(text)
-            elif key == "geo_profile":
+            if key not in params:
+                raise ValueError(f"{args.config}: unknown key {key!r}")
+            # A bad value raises ValueError, reported with exit status 1.
+            if params[key].type is tuple:
                 merged[key] = tuple(float(t) for t in text.split(","))
             else:
-                raise ValueError(f"{args.config}: unknown key {key!r}")
-    for key in _GEN_INT_KEYS + _GEN_FLOAT_KEYS + ("geo_profile",):
+                merged[key] = params[key].type(text)
+    for key in params:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
-    missing = [k for k in _GEN_REQUIRED_KEYS if k not in merged]
+    missing = [key for key, f in params.items()
+               if f.default is MISSING and key not in merged]
     if missing:
         parser_error(f"gen requires {', '.join(missing)} via flags or --config")
     return SynthParams(**merged)
@@ -198,49 +195,38 @@ def _handle_gen(args):
     return 0
 
 
-def _write_rows(outdir, stem, fmt, header, rows):
-    """Write one table as CSV or as JSON rows mirroring the CSV columns."""
-    path = outdir / f"{stem}.{fmt}"
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        payload = [dict(zip(header, row)) for row in rows]
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-    return path
+def _write_tables(args, tables):
+    """Write each ``(stem, header, rows)`` table into the output directory,
+    as CSV or as JSON rows mirroring the CSV columns, and name each file
+    on stdout.  Commands compute every table first, so a failure leaves
+    no output directory."""
+    outdir = Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for stem, header, rows in tables:
+        path = outdir / f"{stem}.{args.format}"
+        if args.format == "csv":
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+        else:
+            payload = [dict(zip(header, row)) for row in rows]
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, indent=2)
+                handle.write("\n")
+        print(f"wrote {path}")
 
 
 def _handle_stats(args):
     dataset = load_trace(args.input)
-    curves = {kind: concentration_curve(dataset, kind)
-              for kind in ("user", "title", "cell")}
+    tables = [(f"{kind}_curve", ("fraction", "share"),
+               concentration_curve(dataset, kind).points)
+              for kind in CURVE_KINDS]
     profile = geo_concentration_profile(dataset, args.max_rank)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    for kind, curve in curves.items():
-        path = _write_rows(
-            outdir, f"{kind}_curve", args.format,
-            ("fraction", "share"), curve.points,
-        )
-        print(f"wrote {path}")
-
-    rows = [
-        (rank, mean, cum)
-        for rank, (mean, cum) in enumerate(
-            zip(profile.mean_share_by_rank, profile.cumulative_by_rank),
-            start=1,
-        )
-    ]
-    path = _write_rows(
-        outdir, "geo_profile", args.format,
-        ("rank", "mean_share", "cumulative"), rows,
-    )
-    print(f"wrote {path}")
+    rows = list(zip(count(1), profile.mean_share_by_rank,
+                    profile.cumulative_by_rank))
+    tables.append(("geo_profile", ("rank", "mean_share", "cumulative"), rows))
+    _write_tables(args, tables)
     print(f"mean_active_cells={profile.mean_active_cells!r}")
     return 0
 
@@ -272,29 +258,15 @@ def _handle_plan(args):
     # The rows are in popularity order, so their totals give the curve.
     titles, *_, totals = zip(*breakdown_rows)
     curve = _traffic_curve(dataset, titles, totals, ratios)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    path = _write_rows(
-        outdir, "breakdowns", args.format, _BREAKDOWN_COLUMNS, breakdown_rows
-    )
-    print(f"wrote {path}")
-    path = _write_rows(
-        outdir, "partitions", args.format,
-        ("title_id", "estimated", "actual", "hit", "missing", "mistaken",
-         "missed_visits"),
-        partition_rows,
-    )
-    print(f"wrote {path}")
-
     baseline = dataset.total_visits
-    rows = [(p, total, total / baseline) for p, total in curve]
-    path = _write_rows(
-        outdir, "traffic_curve", args.format,
-        ("broadcast_ratio", "total_transmissions", "fraction_of_baseline"),
-        rows,
-    )
-    print(f"wrote {path}")
+    _write_tables(args, [
+        ("breakdowns", _BREAKDOWN_COLUMNS, breakdown_rows),
+        ("partitions", ("title_id", "estimated", "actual", "hit", "missing",
+                        "mistaken", "missed_visits"), partition_rows),
+        ("traffic_curve",
+         ("broadcast_ratio", "total_transmissions", "fraction_of_baseline"),
+         [(p, total, total / baseline) for p, total in curve]),
+    ])
     return 0
 
 
@@ -337,23 +309,15 @@ def _handle_sweep(args):
         sweep_coverage(dataset, title, args.coverage_grid)
         for title in _select_sweep_titles(dataset, args.titles)
     ]
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    for sweep in sweeps:
-        path = _write_rows(
-            outdir, f"sweep_{sweep.title_id}", args.format,
-            ("coverage", "total_transmissions"),
-            list(zip(sweep.grid, sweep.costs)),
-        )
-        print(f"wrote {path}")
-    path = _write_rows(
-        outdir, "sweep_optima", args.format,
+    tables = [(f"sweep_{s.title_id}", ("coverage", "total_transmissions"),
+               list(zip(s.grid, s.costs))) for s in sweeps]
+    tables.append((
+        "sweep_optima",
         ("title_id", "optimal_coverage", "optimal_cost", "unicast_baseline"),
         [(s.title_id, s.optimal_coverage, s.optimal_cost, s.unicast_baseline)
          for s in sweeps],
-    )
-    print(f"wrote {path}")
+    ))
+    _write_tables(args, tables)
     return 0
 
 

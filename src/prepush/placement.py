@@ -8,12 +8,12 @@ title's visits actually happened partitions the cells into hits (targeted
 and visited), missing (visited but not targeted; those visits still go out
 as unicast), and mistaken (targeted but never visited; wasted broadcasts).
 
-Both per-user inputs come from indexes the dataset builds once:
-``user_top_cell`` (each user's most active cell) and ``user_rank`` (each
-user's position in descending activity order).  The dataset also keeps
-each title's visitors in that order, and the cells they bring in as a
-first-target table, so ranking is a slice and targeting is one binary
-search (``TraceDataset._targeting``).
+:func:`most_active_cell` reads ``user_top_cell``, a map the dataset
+builds on first use.  Ranking and targeting read two tables the dataset
+also builds on first use: each title's visitors in descending activity
+order (the ranked index), and the cells those visitors bring in, each at
+the first rank that reaches it (the first-target table).  So ranking is a
+slice and targeting is one binary search (``TraceDataset._targeting``).
 """
 
 from dataclasses import dataclass

@@ -342,7 +342,9 @@ class _Columns:
         columns = [np.concatenate(b) if b else np.zeros(0, np.int64)
                    for b in self.blocks]
         self.blocks = None
-        return _from_columns([list(c) for c in self.codes], *columns)
+        # Popped into the call, so each column goes once renumbered.
+        return _from_columns([list(c) for c in self.codes], columns.pop(0),
+                             columns.pop(0), columns.pop(0), columns.pop(0))
 
 
 def _first_appearance(ids, codes):
@@ -693,6 +695,8 @@ def load_trace(path):
         fd, temp = tempfile.mkstemp(".tmp", sidecar.name, sidecar.parent)
         with open(fd, "wb") as handle:
             np.savez(handle, **arrays)
+        # Whoever may read the trace may read its sidecar.
+        os.chmod(temp, os.stat(path).st_mode & 0o666)
         os.replace(temp, sidecar)
     except OSError:  # a read-only directory or a full disk, say
         if temp:

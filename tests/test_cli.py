@@ -1,12 +1,20 @@
 import json
 import os
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 import oracle
 from helpers import sidecar_of
-from prepush import TraceDataset, parse_trace, trace
+from prepush import (
+    SynthParams,
+    TraceDataset,
+    geo_concentration_profile,
+    parse_trace,
+    titles_by_popularity,
+    trace,
+)
 from prepush.cli import main
 
 
@@ -121,6 +129,32 @@ class TestGen:
         a = gen_trace(tmp_path, seed=7, name="a.csv")
         b = gen_trace(tmp_path, seed=7, name="b.csv")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("field", fields(SynthParams),
+                             ids=lambda f: f.name)
+    def test_every_field_by_flag_and_by_config(self, tmp_path, field):
+        def gen(name, values, *extra):
+            out = tmp_path / f"{name}.csv"
+            flags = [arg for key, value in values.items()
+                     for arg in ("--" + key.replace("_", "-"), str(value))]
+            assert run(["gen", "--output", str(out), *flags, *extra]) == 0
+            return out.read_bytes()
+
+        base = {"n_users": 60, "n_titles": 30, "n_cells": 25,
+                "n_visits": 1000}
+        # A value for each field other than the base workload's.
+        value = {"n_users": 70, "n_titles": 40, "n_cells": 30,
+                 "n_visits": 1200, "title_zipf_exponent": 1.4,
+                 "user_zipf_exponent": 0.5, "geo_profile": (0.7, 0.2, 0.05),
+                 "max_cells_per_user": 12, "seed": 9}[field.name]
+        text = (",".join(map(str, value)) if isinstance(value, tuple)
+                else str(value))
+        rest = {key: v for key, v in base.items() if key != field.name}
+        config = tmp_path / "params.conf"
+        config.write_text(f"{field.name} = {text}\n", encoding="utf-8")
+        by_flag = gen("flag", {**rest, field.name: text})
+        by_config = gen("config", rest, "--config", str(config))
+        assert by_flag == by_config != gen("default", base)
 
 
 class TestStats:
@@ -324,6 +358,47 @@ class TestSweep:
         _, optima = read_csv_rows(outdir / "sweep_optima.csv")
         assert len(optima) == 2
         assert "skipping default rank" in capsys.readouterr().err
+
+
+class TestStdout:
+    """Each analysis command names every file it writes, in write order."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stats(self, tmp_path, capsys, fmt):
+        path, out = gen_trace(tmp_path), tmp_path / "out"
+        capsys.readouterr()
+        assert run(["stats", "--input", str(path), "--output", str(out),
+                    "--format", fmt]) == 0
+        profile = geo_concentration_profile(parse_trace(path), 10)
+        stems = ["user_curve", "title_curve", "cell_curve", "geo_profile"]
+        assert capsys.readouterr().out.splitlines() == [
+            *(f"wrote {out / f'{stem}.{fmt}'}" for stem in stems),
+            f"mean_active_cells={profile.mean_active_cells!r}",
+        ]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{stem}.{fmt}" for stem in stems)
+
+    def test_plan(self, tmp_path, capsys):
+        path, out = gen_trace(tmp_path), tmp_path / "out"
+        capsys.readouterr()
+        assert run(["plan", "--input", str(path), "--output", str(out)]) == 0
+        stems = ["breakdowns", "partitions", "traffic_curve"]
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / f'{stem}.csv'}" for stem in stems]
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"{stem}.csv" for stem in stems]
+
+    def test_sweep(self, tmp_path, capsys):
+        path, out = gen_trace(tmp_path), tmp_path / "out"
+        capsys.readouterr()
+        assert run(["sweep", "--input", str(path), "--output", str(out),
+                    "--titles", "3,1", "--format", "json"]) == 0
+        ordered = titles_by_popularity(parse_trace(path))
+        stems = [f"sweep_{ordered[2]}", f"sweep_{ordered[0]}", "sweep_optima"]
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / f'{stem}.json'}" for stem in stems]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{stem}.json" for stem in stems)
 
 
 class TestDeterminism:

@@ -718,6 +718,13 @@ class TestLoadTrace:
             assert trace.load_trace(path).records == (
                 VisitRecord("u1", "t1", "c1"), VisitRecord("u2", "t1", "c2"))
 
+    @pytest.mark.parametrize("mode", [0o644, 0o640], ids=oct)
+    def test_sidecar_has_the_trace_permissions(self, tmp_path, mode):
+        path = write_text(tmp_path, HEADER + "u1,t1,c1,\n")
+        path.chmod(mode)
+        trace.load_trace(path)
+        assert sidecar_of(path).stat().st_mode & 0o777 == mode
+
     def test_missing_file_raises_as_parse(self, tmp_path):
         with pytest.raises(FileNotFoundError) as exc:
             trace.load_trace(tmp_path / "nope.csv")
