@@ -8,6 +8,7 @@ CSV (or JSON mirroring the CSV columns); nothing is rendered here.
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import MISSING, fields
 from itertools import count
@@ -198,22 +199,37 @@ def _handle_gen(args):
 def _write_tables(args, tables):
     """Write each ``(stem, header, rows)`` table into the output directory,
     as CSV or as JSON rows mirroring the CSV columns, and name each file
-    on stdout.  Commands compute every table first, so a failure leaves
-    no output directory."""
+    on stdout.  Commands compute every table first; each is written under
+    a temporary name and renamed once all are written, and a failed write
+    removes them and the directories it made, so it leaves no output."""
     outdir = Path(args.output)
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
-    for stem, header, rows in tables:
-        path = outdir / f"{stem}.{args.format}"
-        if args.format == "csv":
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(rows)
-        else:
-            payload = [dict(zip(header, row)) for row in rows]
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
+    written = []
+    try:
+        for stem, header, rows in tables:
+            path = outdir / f"{stem}.{args.format}"
+            temp = outdir / f".{path.name}.{os.getpid()}.tmp"
+            written.append((temp, path))
+            if args.format == "csv":
+                with open(temp, "w", encoding="utf-8", newline="") as handle:
+                    writer = csv.writer(handle, lineterminator="\n")
+                    writer.writerow(header)
+                    writer.writerows(rows)
+            else:
+                payload = [dict(zip(header, row)) for row in rows]
+                with open(temp, "w", encoding="utf-8") as handle:
+                    json.dump(payload, handle, indent=2)
+                    handle.write("\n")
+        for temp, path in written:
+            os.replace(temp, path)
+    except BaseException:
+        for temp, _ in written:
+            temp.unlink(missing_ok=True)
+        for directory in made:  # the deepest first
+            directory.rmdir()
+        raise
+    for _, path in written:
         print(f"wrote {path}")
 
 

@@ -66,7 +66,38 @@ _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 #: The place values of a timestamp's digits, ones first.
 _PLACES = 10 ** np.arange(18, dtype=np.int64)
 #: A sidecar's key before the sha256: bump it if the layout or parse changes.
-_SIDECAR_KEY = "prepush sidecar 1 sha256 "
+_SIDECAR_KEY = "prepush sidecar 2 sha256 "
+#: The arrays a dataset is built from, as a sidecar stores them after its
+#: key: name, dtype, length and the exclusive bound of its values.  Both
+#: are sizes: of the visits, of each vocabulary, of the timestamps (the
+#: visits, or 0 for none), or the last entry of a bounds array.  A bounds
+#: array has a ``+1`` length and a bound, and runs strictly up from 0 to
+#: that bound.  The members from ``ranked_bounds`` on are ``_planning``'s.
+_SIDECAR = (
+    ("ids0", "S", "users", None),
+    ("ids1", "S", "titles", None),
+    ("ids2", "S", "cells", None),
+    ("codes0", np.int32, "visits", "users"),
+    ("codes1", np.int32, "visits", "titles"),
+    ("codes2", np.int32, "visits", "cells"),
+    ("timestamps", np.int64, "stamps", None),
+    ("user_counts", np.int64, "users", None),
+    ("user_ranks", np.int64, "users", "users"),
+    ("title_counts", np.int64, "titles", None),
+    ("popularity", np.int64, "titles", "titles"),
+    ("user_cell_bounds", np.int64, "users+1", "user_cells"),
+    ("user_cells", np.int64, "user_cells", "cells"),
+    ("user_cell_counts", np.int64, "user_cells", None),
+    ("ranked_bounds", np.int64, "titles+1", "ranked"),
+    ("ranked_users", np.int32, "ranked", "users"),
+    ("target_bounds", np.int64, "titles+1", "targets"),
+    # int64 as the keys it is searched with, or each search casts it.
+    ("target_first", np.int64, "targets", "ranked"),
+    ("target_cells", np.int32, "targets", "cells"),
+    ("target_hits", np.int32, "targets+1", None),
+    ("target_covered", np.int64, "targets+1", None),
+    ("title_cells", np.int64, "titles", None),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,7 +161,8 @@ class TraceDataset:
     Targeting a title's first k ranked visitors is then one binary search;
     see :meth:`_targeting`.  Both are built on first use, in the one view
     ``_planning``, so a dataset that is never planned over never holds
-    them.  ``title_users`` maps each title to the frozenset of its visitors.
+    them, unless :func:`load_trace` restored them with the columns.
+    ``title_users`` maps each title to the frozenset of its visitors.
     """
 
     title_visits: dict = field(repr=False)
@@ -149,6 +181,9 @@ class TraceDataset:
     _user_cells: tuple = field(repr=False)
     #: Each user code's position in descending activity order.
     _user_ranks: np.ndarray = field(repr=False)
+    #: The arrays the dataset was built from, named as in :data:`_SIDECAR`
+    #: (the vocabularies as object arrays); ``_planning`` adds its tables.
+    _arrays: dict = field(repr=False)
     _views: dict = field(default_factory=dict, init=False, repr=False)
     #: The ``_planning`` tables once built, for :meth:`_targeting` to read.
     _tables: tuple = field(default=None, init=False, repr=False)
@@ -208,7 +243,7 @@ class TraceDataset:
         keys, first, counts = _distinct(_pair_keys(outer, cells, len(cell_ids)))
         groups = keys // len(cell_ids)
         order = np.argsort(groups * len(outer) + first)
-        bounds = _bounds(groups, len(ids))
+        bounds = _bounds(groups, len(ids)).tolist()
         cells = cell_ids[(keys % len(cell_ids))[order]].tolist()
         counts = counts[order].tolist()
         return {key: dict(zip(cells[a:b], counts[a:b]))
@@ -228,15 +263,12 @@ class TraceDataset:
         users, titles, cells, _ = self._columns
         n_users, n_titles, n_cells = map(len, self._vocabularies)
         # The ranked index: one sort of (title, user rank) keys, deduplicated.
-        keys = _pair_keys(titles, self._user_ranks[users], n_users)
-        keys.sort()
-        keys = keys[np.diff(keys, prepend=-1) != 0]
+        keys = _counted(_pair_keys(titles, self._user_ranks[users],
+                                   n_users))[0]
         ranked_users = self._user_ranks.argsort()[keys % n_users].astype(
             np.int32)
         ranked_titles = keys // n_users
         del keys
-        tc_keys, tc_counts = np.unique(_pair_keys(titles, cells, n_cells),
-                                       return_counts=True)
 
         # Each (title, target cell) pair at the first ranked position it
         # appears at, with the visits the cell covers (0 where the title was
@@ -246,18 +278,34 @@ class TraceDataset:
         pairs = ranked_titles * n_cells + top_cells[ranked_users]
         first = np.sort(_distinct(pairs)[1])
         pairs = pairs[first]
+        tc_keys, tc_counts = _counted(_pair_keys(titles, cells, n_cells))
         at = tc_keys.searchsorted(pairs).clip(max=len(tc_keys) - 1)
         covers = np.where(tc_keys[at] == pairs, tc_counts[at], 0)
         hits = np.zeros(len(first) + 1, dtype=np.int32)
         np.cumsum(covers > 0, out=hits[1:])
         covered = np.zeros(len(first) + 1, dtype=np.int64)
         np.cumsum(covers, out=covered[1:])
-        object.__setattr__(self, "_tables", (
-            (_bounds(ranked_titles, n_titles), ranked_users),
-            (_bounds(ranked_titles[first], n_titles), first,
-             top_cells[ranked_users[first]].astype(np.int32), hits, covered),
-            np.bincount(tc_keys // n_cells).tolist()))
-        return self._tables
+        self._arrays.update(
+            ranked_bounds=_bounds(ranked_titles, n_titles),
+            ranked_users=ranked_users,
+            target_bounds=_bounds(ranked_titles[first], n_titles),
+            target_first=first,
+            target_cells=top_cells[ranked_users[first]].astype(np.int32),
+            target_hits=hits, target_covered=covered,
+            title_cells=np.bincount(tc_keys // n_cells))
+        return self._keep_tables()
+
+    def _keep_tables(self):
+        """The ``_planning`` view of the tables in ``_arrays``, kept in the
+        views and in the ``_tables`` slot."""
+        a = self._arrays
+        tables = ((a["ranked_bounds"].tolist(), a["ranked_users"]),
+                  (a["target_bounds"].tolist(), a["target_first"],
+                   a["target_cells"], a["target_hits"], a["target_covered"]),
+                  a["title_cells"].tolist())
+        object.__setattr__(self, "_tables", tables)
+        self._views["_planning"] = tables
+        return tables
 
     def _title_code(self, title):
         try:
@@ -366,10 +414,10 @@ def _first_appearance(ids, codes):
 
 
 def _bounds(groups, n_groups):
-    """CSR bounds, as a list, of items grouped by ascending group code."""
+    """CSR bounds of items grouped by ascending group code."""
     bounds = np.zeros(n_groups + 1, dtype=np.int64)
     np.cumsum(np.bincount(groups, minlength=n_groups), out=bounds[1:])
-    return bounds.tolist()
+    return bounds
 
 
 def _distinct(keys):
@@ -380,9 +428,24 @@ def _distinct(keys):
     """
     order = keys.argsort()
     keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    starts = _run_starts(keys)
     return (keys[starts], np.minimum.reduceat(order, starts),
             np.diff(starts, append=len(keys)))
+
+
+def _counted(keys):
+    """The distinct values of an int64 array, ascending, and their counts;
+    ``keys`` is sorted in place, where ``np.unique`` would copy it first."""
+    keys.sort()
+    starts = _run_starts(keys)
+    return keys[starts], np.diff(starts, append=len(keys))
+
+
+def _run_starts(keys):
+    """Where each run of equal values starts in a sorted array."""
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def _pair_keys(outer, inner, n_inner):
@@ -415,36 +478,61 @@ def _from_columns(vocabularies, users, titles, cells, timestamps=None):
         _first_appearance(ids, codes)
         for ids, codes in zip(vocabularies, (users, titles, cells)))
     if timestamps is None or (timestamps == _NO_TIMESTAMP).all():
-        # One shared value stands for a whole column without timestamps.
-        timestamps = np.broadcast_to(np.int64(_NO_TIMESTAMP), len(users))
+        timestamps = np.zeros(0, dtype=np.int64)
     n_users, n_titles, n_cells = len(user_ids), len(title_ids), len(cell_ids)
-    user_names, title_names = user_ids.tolist(), title_ids.tolist()
-
     user_counts = np.bincount(users, minlength=n_users)
-    # Sorting the activity order's permutation inverts it.
-    user_rank = np.lexsort((_id_ranks(user_ids), -user_counts)).argsort()
     title_counts = np.bincount(titles, minlength=n_titles)
-    popularity = title_ids[np.lexsort((_id_ranks(title_ids), -title_counts))]
 
     # The user-cell pairs by user, descending count and ascending cell id:
     # each user's first pair is their most active cell.
-    uc_keys, uc_counts = np.unique(_pair_keys(users, cells, n_cells),
-                                   return_counts=True)
+    uc_keys, uc_counts = _counted(_pair_keys(users, cells, n_cells))
     uc_users, uc_cells = np.divmod(uc_keys, n_cells)
     top = np.lexsort((_id_ranks(cell_ids)[uc_cells], -uc_counts, uc_users))
 
-    return TraceDataset(
-        title_visits=dict(zip(title_names, title_counts.tolist())),
-        user_visits=dict(zip(user_names, user_counts.tolist())),
-        total_visits=len(users),
-        _vocabularies=(user_ids, title_ids, cell_ids),
-        _columns=(users, titles, cells, timestamps),
-        _title_codes=dict(zip(title_names, range(n_titles))),
-        _popularity=tuple(popularity.tolist()),
-        _user_cells=(_bounds(uc_users, n_users), uc_cells[top],
-                     uc_counts[top]),
-        _user_ranks=user_rank,
+    return _dataset({
+        "ids0": user_ids, "ids1": title_ids, "ids2": cell_ids,
+        "codes0": users, "codes1": titles, "codes2": cells,
+        "timestamps": timestamps,
+        "user_counts": user_counts,
+        # Sorting the activity order's permutation inverts it.
+        "user_ranks": np.lexsort((_id_ranks(user_ids),
+                                  -user_counts)).argsort(),
+        "title_counts": title_counts,
+        "popularity": np.lexsort((_id_ranks(title_ids), -title_counts)),
+        "user_cell_bounds": _bounds(uc_users, n_users),
+        "user_cells": uc_cells[top],
+        "user_cell_counts": uc_counts[top],
+    })
+
+
+def _dataset(arrays):
+    """The :class:`TraceDataset` over ``arrays``, named as in
+    :data:`_SIDECAR` with the vocabularies as object arrays and an empty
+    timestamp column for none; the ``_planning`` view too if they hold its
+    tables."""
+    vocabularies = arrays["ids0"], arrays["ids1"], arrays["ids2"]
+    *codes, stamps = (arrays[name] for name in
+                      ("codes0", "codes1", "codes2", "timestamps"))
+    if not len(stamps):
+        # One shared value stands for a whole column without timestamps.
+        stamps = np.broadcast_to(np.int64(_NO_TIMESTAMP), len(codes[0]))
+    user_names, title_names = (ids.tolist() for ids in vocabularies[:2])
+    dataset = TraceDataset(
+        title_visits=dict(zip(title_names, arrays["title_counts"].tolist())),
+        user_visits=dict(zip(user_names, arrays["user_counts"].tolist())),
+        total_visits=len(codes[0]),
+        _vocabularies=vocabularies,
+        _columns=(*codes, stamps),
+        _title_codes=dict(zip(title_names, range(len(title_names)))),
+        _popularity=tuple(vocabularies[1][arrays["popularity"]].tolist()),
+        _user_cells=(arrays["user_cell_bounds"].tolist(),
+                     arrays["user_cells"], arrays["user_cell_counts"]),
+        _user_ranks=arrays["user_ranks"],
+        _arrays=arrays,
     )
+    if "title_cells" in arrays:
+        dataset._keep_tables()
+    return dataset
 
 
 def build_indexes(records):
@@ -654,6 +742,42 @@ def parse_trace(path):
     return dataset
 
 
+def _read_sidecar(sidecar, key):
+    """The dataset ``sidecar`` holds under ``key``, or None: a stale,
+    damaged or crafted one is None if any :data:`_SIDECAR` member is
+    missing, has another dtype or length, or holds a value out of range."""
+    try:
+        with np.load(sidecar, allow_pickle=False) as npz:
+            if str(npz["key"]) != key:
+                return None
+            arrays = {name: npz[name] for name, *_ in _SIDECAR}
+        n = len(arrays["codes0"])
+        sizes = {"visits": n, "stamps": n if len(arrays["timestamps"]) else 0,
+                 "users": len(arrays["ids0"]), "titles": len(arrays["ids1"]),
+                 "cells": len(arrays["ids2"])}
+        # A bounds array's last entry sizes the arrays it bounds.
+        sizes.update((bound, int(arrays[name][-1]))
+                     for name, _, length, bound in _SIDECAR
+                     if bound and length.endswith("+1"))
+        for name, dtype, length, bound in _SIDECAR:
+            array = arrays[name]
+            size, plus, _ = length.partition("+")
+            if not ((array.dtype.kind == "S" if dtype == "S"
+                     else array.dtype == dtype)
+                    and array.shape == (sizes[size] + bool(plus),)):
+                return None
+            # An empty index array, as of no visits, raises: a miss too.
+            if bound and not (
+                    array[0] == 0 and (np.diff(array) > 0).all() if plus
+                    else 0 <= array.min() and array.max() < sizes[bound]):
+                return None
+        for k in range(3):
+            arrays[f"ids{k}"] = arrays[f"ids{k}"].astype(str).astype(object)
+    except Exception:  # an unreadable sidecar, or non-ASCII identifiers
+        return None
+    return _dataset(arrays)
+
+
 def load_trace(path):
     """:func:`parse_trace` through the file's sidecar (see the module)."""
     path = Path(path)
@@ -662,39 +786,20 @@ def load_trace(path):
     sidecar = path.with_name(f".{path.name}.prepush.npz")
     with open(path, "rb") as handle:
         key = _SIDECAR_KEY + hashlib.file_digest(handle, "sha256").hexdigest()
-    try:
-        with np.load(sidecar, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-        n, stamps = len(arrays["codes0"]), arrays["timestamps"]
-        hit = (str(arrays["key"]) == key and stamps.dtype == np.int64
-               and stamps.shape in ((0,), (n,)))
-        for ids, codes in ((arrays[f"ids{k}"], arrays[f"codes{k}"])
-                           for k in range(3)):
-            hit = (hit and ids.dtype.kind == "S" and ids.ndim == 1
-                   and codes.dtype == np.int32 and codes.shape == (n,)
-                   and 0 <= codes.min() and codes.max() < len(ids))
-        names = [arrays.pop(f"ids{k}").astype(str).tolist() for k in range(3)]
-    except Exception:  # an unreadable sidecar, or no visits, is a miss
-        hit = False
-    if hit:
-        # Popped into the call, so the loaded codes go once renumbered.
-        return _from_columns(names, arrays.pop("codes0"), arrays.pop("codes1"),
-                             arrays.pop("codes2"),
-                             stamps if len(stamps) else None)
+    dataset = _read_sidecar(sidecar, key)
+    if dataset is not None:
+        return dataset
     dataset = parse_trace(path)
+    dataset._planning  # stored with the columns, so no hit builds it
     # Every array is stored, an empty one for no timestamps: a damaged zip
     # directory can drop a member, but each member's CRC is checked.
-    stamps = dataset._columns[3]
-    arrays = {"key": key, "timestamps": stamps if (
-        stamps != _NO_TIMESTAMP).any() else stamps[:0]}
-    for k, (ids, codes) in enumerate(zip(dataset._vocabularies,
-                                         dataset._columns)):
-        arrays[f"ids{k}"], arrays[f"codes{k}"] = ids.astype("S"), codes
+    arrays = {name: np.asarray(dataset._arrays[name], dtype)
+              for name, dtype, *_ in _SIDECAR}
     temp = None
     try:
         fd, temp = tempfile.mkstemp(".tmp", sidecar.name, sidecar.parent)
         with open(fd, "wb") as handle:
-            np.savez(handle, **arrays)
+            np.savez(handle, key=key, **arrays)
         # Whoever may read the trace may read its sidecar.
         os.chmod(temp, os.stat(path).st_mode & 0o666)
         os.replace(temp, sidecar)

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 from dataclasses import fields
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from helpers import sidecar_of
 from prepush import (
     SynthParams,
     TraceDataset,
+    cli,
     geo_concentration_profile,
     parse_trace,
     titles_by_popularity,
@@ -435,44 +437,96 @@ class TestDeterminism:
 VIEWS = ("title_cell_visits", "user_cell_visits", "user_top_cell",
          "user_rank", "title_users", "records")
 
+#: One run of each command, each mode of plan once.
+COMMANDS = (
+    ("stats", []),
+    ("plan", ["--mode", "perfect"]),
+    ("plan", ["--mode", "assumed"]),
+    ("plan", ["--mode", "limited"]),
+    ("sweep", []),
+)
 
-def check_commands_build_no_view(tmp_path, monkeypatch, warm):
-    """Run every command with the sidecar removed first, or written first
-    (``warm``), and with every view refused."""
+
+def refuse_views(monkeypatch, builder=None):
+    """Refuse every view, and a build of the planning tables anywhere but
+    in the function ``builder``; built tables are read as before."""
     def refuse(self):
         raise AssertionError("a command built a view")
 
-    def prepare(path):
-        sidecar_of(path).unlink(missing_ok=True)
-        if warm:
-            trace.load_trace(path)
+    built = TraceDataset._planning
+
+    def planning(self):
+        if ("_planning" not in self._views and sys._getframe(1).f_code
+                is not getattr(builder, "__code__", None)):
+            raise AssertionError("a command built the planning tables")
+        return built.fget(self)
 
     for view in VIEWS:
         monkeypatch.setattr(TraceDataset, view, property(refuse))
-    # Only the commands that plan build the planning tables.
-    with monkeypatch.context() as planning:
-        planning.setattr(TraceDataset, "_planning", property(refuse))
-        path = gen_trace(tmp_path)  # runs `gen` under the same patch
-        prepare(path)
-        assert run(["stats", "--input", str(path),
-                    "--output", str(tmp_path / "stats")]) == 0
-    for command, extra in (
-        ("plan", ["--mode", "perfect"]),
-        ("plan", ["--mode", "assumed"]),
-        ("plan", ["--mode", "limited"]),
-        ("sweep", []),
-    ):
-        prepare(path)
+    monkeypatch.setattr(TraceDataset, "_planning", property(planning))
+
+
+def run_commands(tmp_path, path, state):
+    """Every command's output files, each run after a sidecar miss or a
+    hit (``state``)."""
+    outputs = []
+    for i, (command, extra) in enumerate(COMMANDS):
+        if state == "miss":
+            sidecar_of(path).unlink(missing_ok=True)
+        else:
+            assert sidecar_of(path).exists()
+        outdir = tmp_path / f"{command}{i}_{state}"
         assert run([command, "--input", str(path),
-                    "--output", str(tmp_path / command), *extra]) == 0
+                    "--output", str(outdir), *extra]) == 0
+        outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+    return outputs
 
 
 def test_commands_build_no_view(tmp_path, monkeypatch):
-    check_commands_build_no_view(tmp_path, monkeypatch, warm=False)
+    # On a miss, the sidecar write alone builds the planning tables: for
+    # stats too, which stores them though it plans nothing.
+    refuse_views(monkeypatch, builder=trace.load_trace)
+    path = gen_trace(tmp_path)  # runs `gen` under the same patch
+    run_commands(tmp_path, path, "miss")
 
 
 def test_commands_build_no_view_on_a_hit(tmp_path, monkeypatch):
-    check_commands_build_no_view(tmp_path, monkeypatch, warm=True)
+    def refuse_build(*args):
+        raise AssertionError("built a dataset its sidecar holds")
+
+    path = gen_trace(tmp_path)
+    misses = run_commands(tmp_path, path, "miss")
+    refuse_views(monkeypatch)
+    monkeypatch.setattr(trace, "_from_columns", refuse_build)
+    assert run_commands(tmp_path, path, "hit") == misses
+
+
+class TestWriteTables:
+    def test_failed_write_leaves_no_partial_output(self, tmp_path,
+                                                    monkeypatch, capsys):
+        def fail_second(file, *args, **kwargs):
+            opened.append(file)
+            if len(opened) == 2:
+                raise OSError(28, "No space left on device")
+            return open(file, *args, **kwargs)
+
+        out = tmp_path / "stats"
+        assert run(["stats", "--input", str(gen_trace(tmp_path)),
+                    "--output", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        other = gen_trace(tmp_path, seed=7, name="other.csv")
+        monkeypatch.setattr(cli, "open", fail_second, raising=False)
+        for outdir in (out, tmp_path / "new" / "deeper"):
+            opened = []
+            capsys.readouterr()
+            assert run(["stats", "--input", str(other),
+                        "--output", str(outdir)]) == 1
+            assert capsys.readouterr() == (
+                "", "prepush: error: [Errno 28] No space left on device\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".other.csv.prepush.npz", ".trace.csv.prepush.npz", "other.csv",
+            "stats", "trace.csv"]
 
 
 class TestSidecar:
@@ -510,9 +564,12 @@ class TestSidecar:
 
     def test_write_failure_is_ignored(self, tmp_path, monkeypatch, capsys):
         def fail(src, dst):
-            raise OSError(28, "No space left on device")
+            if ".prepush.npz" in os.fspath(dst):
+                raise OSError(28, "No space left on device")
+            return replace(src, dst)
 
         path = gen_trace(tmp_path)
+        replace = os.replace
         monkeypatch.setattr(os, "replace", fail)
         assert run(["stats", "--input", str(path),
                     "--output", str(tmp_path / "stats")]) == 0

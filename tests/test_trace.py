@@ -1,3 +1,4 @@
+import hashlib
 import os
 from unittest import mock
 
@@ -580,6 +581,27 @@ def as_tuples(dataset):
             for r in dataset.records]
 
 
+def assert_same_fields(got, want):
+    """``got`` holds ``want``'s every field and planning table, key order,
+    element and dtype alike: ``==`` compares only the vocabularies and the
+    columns."""
+    assert got == want
+    for name in ("title_visits", "user_visits", "_title_codes"):
+        assert list(getattr(got, name).items()) == list(
+            getattr(want, name).items())
+    assert got.total_visits == want.total_visits
+    assert got._popularity == want._popularity
+    for a, b in zip(*((*ds._vocabularies, *ds._columns, *ds._user_cells,
+                       ds._user_ranks, *ds._planning[0], *ds._planning[1],
+                       ds._planning[2]) for ds in (got, want)), strict=True):
+        assert type(a) is type(b)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        else:
+            assert a == b
+
+
 class TestLoadTrace:
     """load_trace: the parse, or the sidecar written by an earlier one."""
 
@@ -602,11 +624,12 @@ class TestLoadTrace:
                     trace.load_trace(path)
             else:
                 parsed = parse_trace(path)
+                parsed._planning
                 miss = trace.load_trace(path)
                 with mock.patch.object(trace, "parse_trace", refuse_parse):
                     hit = trace.load_trace(path)
                 for ds in (miss, hit):
-                    assert ds == parsed
+                    assert_same_fields(ds, parsed)
                     assert as_tuples(ds) == want
                     assert_first_appearance_order(
                         ds, [VisitRecord(*visit) for visit in want])
@@ -654,17 +677,28 @@ class TestLoadTrace:
         "code_too_large", "negative_code", "int64_codes", "short_column",
         "object_ids", "unicode_ids", "timestamps_too_short",
         "timestamps_dropped", "codes_dropped", "non_ascii_ids",
+        "table_dropped", "counts_dropped", "short_table", "int32_first",
+        "user_out_of_range", "cell_out_of_range", "negative_popularity",
+        "bounds_not_monotone", "bounds_repeat", "bounds_from_one",
+        "bounds_past_end",
     ])
     def test_bad_sidecar_is_a_miss_and_rewritten(self, tmp_path, damage):
-        records = make_random_records(seeded_rng(31), with_timestamps=True)
+        records = make_random_records(seeded_rng(35), with_timestamps=True)
         path = tmp_path / "trace.csv"
         write_trace(build_indexes(records), path)
         sidecar = sidecar_of(path)
         trace.load_trace(path)
         good = sidecar.read_bytes()
         with np.load(sidecar) as npz:
-            ids0, codes0 = npz["ids0"], npz["codes0"]
-            key = str(npz["key"])
+            stored = {name: npz[name] for name in npz.files}
+        ids0, codes0 = stored["ids0"], stored["codes0"]
+        key = str(stored["key"])
+        user_cells, ranked_users, target_bounds = (
+            stored[name].copy() for name in
+            ("user_cell_bounds", "ranked_users", "target_bounds"))
+        # Enough users and titles for every damage below to be built.
+        assert len(user_cells) > 3 and len(target_bounds) > 3
+        assert user_cells[1] > 1
         if damage == "truncated":
             sidecar.write_bytes(good[:len(good) // 2])
         elif damage == "garbage":
@@ -672,7 +706,9 @@ class TestLoadTrace:
         elif damage == "empty":
             sidecar.write_bytes(b"")
         elif damage == "wrong_version":
-            self.rewrite(sidecar, key=key.replace(" 1 ", " 0 "))
+            version = trace._SIDECAR_KEY.split()[2]
+            self.rewrite(sidecar, key=key.replace(
+                f" {version} ", f" {int(version) + 1} "))
         elif damage == "other_digest":
             self.rewrite(sidecar, key=key[:-1] + ("0" if key[-1] != "0"
                                                   else "1"))
@@ -700,11 +736,62 @@ class TestLoadTrace:
             self.rewrite(sidecar, drop=("codes2",))
         elif damage == "non_ascii_ids":
             self.rewrite(sidecar, ids0=np.char.add(ids0, b"\xff"))
+        elif damage == "table_dropped":
+            self.rewrite(sidecar, drop=("target_first",))
+        elif damage == "counts_dropped":
+            self.rewrite(sidecar, drop=("user_counts",))
+        elif damage == "short_table":
+            self.rewrite(sidecar, ranked_users=ranked_users[:-1])
+        elif damage == "int32_first":
+            self.rewrite(sidecar, target_first=stored["target_first"].astype(
+                np.int32))
+        elif damage == "user_out_of_range":
+            ranked_users[-1] = len(ids0)
+            self.rewrite(sidecar, ranked_users=ranked_users)
+        elif damage == "cell_out_of_range":
+            cells = stored["target_cells"].copy()
+            cells[0] = len(stored["ids2"])
+            self.rewrite(sidecar, target_cells=cells)
+        elif damage == "negative_popularity":
+            self.rewrite(sidecar, popularity=stored["popularity"] - 1)
+        elif damage == "bounds_not_monotone":
+            target_bounds[[1, 2]] = target_bounds[[2, 1]]
+            self.rewrite(sidecar, target_bounds=target_bounds)
+        elif damage == "bounds_repeat":
+            # The last user has no cell: a geo profile would index past
+            # the end.
+            user_cells[-2] = user_cells[-1]
+            self.rewrite(sidecar, user_cell_bounds=user_cells)
+        elif damage == "bounds_from_one":
+            user_cells[0] = 1
+            self.rewrite(sidecar, user_cell_bounds=user_cells)
+        elif damage == "bounds_past_end":
+            target_bounds[-1] += 1
+            self.rewrite(sidecar, target_bounds=target_bounds)
         assert sidecar.read_bytes() != good
         assert trace.load_trace(path) == build_indexes(records)
         assert sidecar.read_bytes() == good
         with mock.patch.object(trace, "parse_trace", refuse_parse):
             assert trace.load_trace(path).records == tuple(records)
+
+    def test_version_1_sidecar_is_a_miss_and_replaced(self, tmp_path):
+        records = make_random_records(seeded_rng(32), with_timestamps=True)
+        path = tmp_path / "trace.csv"
+        write_trace(build_indexes(records), path)
+        sidecar = sidecar_of(path)
+        trace.load_trace(path)
+        good = sidecar.read_bytes()
+        # Version 1 stored the key, the vocabularies, the code columns and
+        # the timestamps only.
+        with np.load(sidecar) as npz:
+            old = {name: npz[name] for name in (
+                "ids0", "ids1", "ids2", "codes0", "codes1", "codes2",
+                "timestamps")}
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        with open(sidecar, "wb") as handle:
+            np.savez(handle, key=f"prepush sidecar 1 sha256 {digest}", **old)
+        assert trace.load_trace(path) == build_indexes(records)
+        assert sidecar.read_bytes() == good
 
     def test_no_timestamps_stores_an_empty_column(self, tmp_path):
         path = write_text(tmp_path, HEADER + "u1,t1,c1,\nu2,t1,c2,\n")
