@@ -10,9 +10,12 @@ code columns; :func:`parse_trace`, :func:`build_indexes` and
 ``synth.generate`` all feed it, and maps of identifiers beyond the visit
 counts are built on first use.  Datasets are immutable after construction
 and safe to share across threads; all analysis functions in this package
-are pure reads over them.  :func:`load_trace` parses a file once, then
-loads its columns from a sidecar ``.<name>.prepush.npz`` keyed by its
-sha256; a stale or damaged one is parsed over, and any is safe to delete.
+are pure reads over them.  :func:`load_trace` parses a file once and
+builds its planning tables, then keeps the columns with every index and
+table derived from them (about twice the columns' size) in a sidecar
+``.<name>.prepush.npz`` keyed by its sha256; later reads wrap the stored
+arrays and build nothing.  A stale, damaged or inconsistent sidecar is
+parsed over, and any is safe to delete.
 
 Trace file format: UTF-8 text, one header line ``user_id,title_id,cell_id,
 timestamp``, comma-delimited rows, empty timestamp field allowed.
