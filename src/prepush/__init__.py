@@ -6,6 +6,8 @@ titles, and cells; the most-active-cell placement heuristic; and a
 per-title transmission cost model with coverage optimization.
 """
 
+from types import ModuleType as _Module
+
 from .concentration import (
     ConcentrationCurve,
     GeoProfile,
@@ -59,47 +61,6 @@ from .trace import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CASE_ASSUMED_LOCATION",
-    "CASE_LIMITED_COVERAGE",
-    "CASE_PERFECT",
-    "CASE_UNICAST",
-    "CellPartition",
-    "ConcentrationCurve",
-    "CostBreakdown",
-    "CoverageSweep",
-    "DEFAULT_COVERAGE_GRID",
-    "DEFAULT_GEO_PROFILE",
-    "DEFAULT_LIMITED_COVERAGE",
-    "EmptyTraceError",
-    "GeoProfile",
-    "RecordValidationError",
-    "SynthParams",
-    "TRACE_HEADER",
-    "TraceDataset",
-    "TraceFormatError",
-    "UnknownIdError",
-    "VisitRecord",
-    "broadcast_cost",
-    "build_indexes",
-    "cell_visit_counts",
-    "concentration_curve",
-    "coverage_cost",
-    "estimate_target_cells",
-    "generate",
-    "geo_concentration_profile",
-    "most_active_cell",
-    "parse_trace",
-    "partition_cells",
-    "perfect_cost",
-    "plan_title",
-    "rank_title_visitors",
-    "sweep_coverage",
-    "titles_by_popularity",
-    "top_fraction_share",
-    "traffic_vs_broadcast_ratio",
-    "unicast_breakdown",
-    "unicast_cost",
-    "user_cell_shares",
-    "write_trace",
-]
+#: The public names: every name imported above, none of the submodules.
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _Module)))

@@ -10,9 +10,10 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
-from itertools import count
-from operator import attrgetter
+from itertools import count, repeat
+from operator import add, sub
 from pathlib import Path
 
 from .concentration import (
@@ -28,11 +29,10 @@ from .planning import (
     DEFAULT_COVERAGE_GRID,
     DEFAULT_LIMITED_COVERAGE,
     CostBreakdown,
-    _cost,
-    _curve_ratios,
-    _traffic_curve,
+    _title_costs,
     sweep_coverage,
     titles_by_popularity,
+    traffic_vs_broadcast_ratio,
 )
 from .synth import SynthParams, generate
 from .trace import load_trace, write_trace
@@ -187,7 +187,8 @@ def _gen_params(args, parser_error):
 def _handle_gen(args):
     params = _gen_params(args, build_parser().error)
     dataset = generate(params)
-    write_trace(dataset, args.output)
+    with _replacing([Path(args.output)]) as (temp,):
+        write_trace(dataset, temp)
     print(
         f"wrote {dataset.total_visits} visits "
         f"({dataset.n_users} users, {dataset.n_titles} titles) "
@@ -196,21 +197,36 @@ def _handle_gen(args):
     return 0
 
 
+@contextmanager
+def _replacing(paths):
+    """Temporary names next to ``paths``, in a directory made if missing,
+    to write the files under.  Each is renamed into place once the block
+    ends; if it fails, they and the directories made are removed, so a
+    failed write leaves no output."""
+    parent = paths[0].parent
+    made = [d for d in (parent, *parent.parents) if not d.exists()]
+    parent.mkdir(parents=True, exist_ok=True)
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp")
+             for path in paths]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        for directory in made:  # the deepest first
+            directory.rmdir()
+        raise
+
+
 def _write_tables(args, tables):
     """Write each ``(stem, header, rows)`` table into the output directory,
     as CSV or as JSON rows mirroring the CSV columns, and name each file
-    on stdout.  Commands compute every table first; each is written under
-    a temporary name and renamed once all are written, and a failed write
-    removes them and the directories it made, so it leaves no output."""
-    outdir = Path(args.output)
-    made = [d for d in (outdir, *outdir.parents) if not d.exists()]
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    try:
-        for stem, header, rows in tables:
-            path = outdir / f"{stem}.{args.format}"
-            temp = outdir / f".{path.name}.{os.getpid()}.tmp"
-            written.append((temp, path))
+    on stdout.  Commands compute every table first."""
+    paths = [Path(args.output, f"{stem}.{args.format}") for stem, *_ in tables]
+    with _replacing(paths) as temps:
+        for temp, (_, header, rows) in zip(temps, tables):
             if args.format == "csv":
                 with open(temp, "w", encoding="utf-8", newline="") as handle:
                     writer = csv.writer(handle, lineterminator="\n")
@@ -221,15 +237,7 @@ def _write_tables(args, tables):
                 with open(temp, "w", encoding="utf-8") as handle:
                     json.dump(payload, handle, indent=2)
                     handle.write("\n")
-        for temp, path in written:
-            os.replace(temp, path)
-    except BaseException:
-        for temp, _ in written:
-            temp.unlink(missing_ok=True)
-        for directory in made:  # the deepest first
-            directory.rmdir()
-        raise
-    for _, path in written:
+    for path in paths:
         print(f"wrote {path}")
 
 
@@ -248,32 +256,28 @@ def _handle_stats(args):
 
 
 def _plan_rows(dataset, case, coverage):
-    """Cost breakdown and partition-size rows for every title.
+    """Cost breakdown and partition-size rows for every title, in
+    popularity order, from one costing pass.
 
     The partition sizes follow from the counts: the estimated cells hit
     or were mistaken, the actual cells hit or were missing.
     """
-    breakdown_row = attrgetter(*_BREAKDOWN_COLUMNS)
-    breakdown_rows = []
-    partition_rows = []
-    for title in titles_by_popularity(dataset):
-        breakdown, hits = _cost(dataset, title, case, coverage)
-        estimated = breakdown.broadcast_transmissions
-        actual = dataset._planning[2][dataset._title_code(title)]
-        breakdown_rows.append(breakdown_row(breakdown))
-        partition_rows.append((title, estimated, actual, hits, actual - hits,
-                               estimated - hits, breakdown.missed_visits))
+    coverage, titles, estimated, hits, missed, actual, _ = _title_costs(
+        dataset, case, coverage)
+    breakdown_rows = list(zip(titles, repeat(case), repeat(coverage),
+                              estimated, missed, map(add, estimated, missed)))
+    partition_rows = list(zip(titles, estimated, actual, hits,
+                              map(sub, actual, hits), map(sub, estimated, hits),
+                              missed))
     return breakdown_rows, partition_rows
 
 
 def _handle_plan(args):
     dataset = load_trace(args.input)
     case = MODE_CASES[args.mode]
-    ratios = _curve_ratios(case, args.ratio_grid, args.coverage)
+    curve = traffic_vs_broadcast_ratio(dataset, case, args.ratio_grid,
+                                       args.coverage)
     breakdown_rows, partition_rows = _plan_rows(dataset, case, args.coverage)
-    # The rows are in popularity order, so their totals give the curve.
-    titles, *_, totals = zip(*breakdown_rows)
-    curve = _traffic_curve(dataset, titles, totals, ratios)
     baseline = dataset.total_visits
     _write_tables(args, [
         ("breakdowns", _BREAKDOWN_COLUMNS, breakdown_rows),

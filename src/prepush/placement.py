@@ -33,6 +33,13 @@ class CellPartition:
     missed_visits: int
 
 
+def _checked_coverage(coverage):
+    """``coverage``, if an oracle can have it: the one check of (0, 1]."""
+    if not 0 < coverage <= 1:
+        raise ValueError(f"coverage must be in (0, 1], got {coverage}")
+    return coverage
+
+
 def most_active_cell(dataset, user):
     """The user's cell with the most visits (ties by ascending cell id)."""
     try:
@@ -70,9 +77,7 @@ def estimate_target_cells(dataset, title, coverage):
     -------
     frozenset of cell ids
     """
-    if not 0 < coverage <= 1:
-        raise ValueError(f"coverage must be in (0, 1], got {coverage}")
-    n_cells, _, _ = dataset._targeting(title, coverage)
+    n_cells, _, _ = dataset._targeting(title, _checked_coverage(coverage))
     return dataset._target_cells(title, n_cells)
 
 

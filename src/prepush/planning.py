@@ -19,16 +19,18 @@ Every regime, the unicast baseline included, is costed by one dispatch
 from counts alone: unicast, assumed location and limited coverage target
 a prefix of the title's visitors ranked by activity (none, all, or the
 most active fraction), and each prefix is costed by one binary search of
-the dataset's first-target table.  Only :func:`plan_title` also builds the
-cell sets of a :class:`~prepush.placement.CellPartition`.
+the dataset's first-target table.  The traffic curve and the CLI's rows
+cost all titles in one pass, one search for every title at once.  Only
+:func:`plan_title` builds the cell sets of a
+:class:`~prepush.placement.CellPartition`.
 """
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, lt
+from operator import add, lt, sub
 
 from .errors import UnknownIdError
-from .placement import partition_cells
+from .placement import _checked_coverage, partition_cells
 from .rounding import ceil_count
 
 CASE_UNICAST = "unicast"
@@ -88,26 +90,57 @@ def _breakdown(title, case, coverage, broadcast, missed):
     )
 
 
+def _case_coverage(case, coverage):
+    """The one regime dispatch: the coverage ``case`` targets, checked.
+    Perfect knowledge records 1.0 but is costed from cell counts alone."""
+    if case == CASE_LIMITED_COVERAGE:
+        return _checked_coverage(coverage)
+    if case == CASE_UNICAST:
+        return 0.0
+    if case in (CASE_PERFECT, CASE_ASSUMED_LOCATION):
+        return 1.0
+    raise ValueError(f"unknown case: {case!r}")
+
+
 def _cost(dataset, title, case, coverage):
-    """The one regime dispatch: ``(CostBreakdown, hits)`` of one title.
+    """``(CostBreakdown, hits)`` of one title under one regime.
 
     ``hits`` counts the broadcast cells the title was visited in.  See
     :func:`plan_title` for ``case`` and ``coverage``.
     """
+    coverage = _case_coverage(case, coverage)
     if case == CASE_PERFECT:
         n_cells = dataset._planning[2][dataset._title_code(title)]
-        return _breakdown(title, case, 1.0, n_cells, 0), n_cells
-    if case == CASE_UNICAST:
-        coverage = 0.0
-    elif case == CASE_ASSUMED_LOCATION:
-        coverage = 1.0
-    elif case == CASE_LIMITED_COVERAGE:
-        if not 0 < coverage <= 1:
-            raise ValueError(f"coverage must be in (0, 1], got {coverage}")
-    else:
-        raise ValueError(f"unknown case: {case!r}")
+        return _breakdown(title, case, coverage, n_cells, 0), n_cells
     broadcast, hits, missed = dataset._targeting(title, coverage)
     return _breakdown(title, case, coverage, broadcast, missed), hits
+
+
+def _title_costs(dataset, case, coverage, n=None):
+    """:func:`_cost` of the ``n`` most popular titles (all by default) in
+    one pass: ``(coverage, titles, broadcast, hits, missed, cells,
+    visits)``, the regime's coverage and then lists in popularity order,
+    ``cells`` counting distinct visited cells and ``visits`` the unicast
+    baseline."""
+    coverage = _case_coverage(case, coverage)
+    dataset._planning  # the tables, in ``_arrays`` once built
+    arrays = dataset._arrays
+    codes = arrays["popularity"][:n]
+    cells, visits = arrays["title_cells"][codes], arrays["title_counts"][codes]
+    broadcast, hits, missed = cells, cells, 0 * visits
+    if case != CASE_PERFECT:
+        bounds = arrays["ranked_bounds"]
+        start, sizes = bounds[codes], bounds[codes + 1] - bounds[codes]
+        # Python ints: a fraction's numerator times a count can pass 2**63.
+        k = [ceil_count(coverage, size) for size in sizes.tolist()]
+        # ``first`` ascends across titles, so one search serves them all.
+        end = arrays["target_first"].searchsorted(start + k)
+        top = arrays["target_bounds"][codes]
+        hit_sums, covered = arrays["target_hits"], arrays["target_covered"]
+        broadcast, hits = end - top, hit_sums[end] - hit_sums[top]
+        missed = visits - covered[end] + covered[top]
+    return (coverage, list(dataset._popularity[:n]),
+            *(c.tolist() for c in (broadcast, hits, missed, cells, visits)))
 
 
 def plan_title(dataset, title, case, coverage):
@@ -239,39 +272,17 @@ def traffic_vs_broadcast_ratio(dataset, mode, ratios,
     -------
     list of (ratio, total_transmissions)
     """
-    ratios = _curve_ratios(mode, ratios, coverage)
-    # Only the popularity prefix the largest ratio broadcasts is costed.
-    ordered = titles_by_popularity(dataset)
-    costs = [
-        _cost(dataset, t, mode, coverage)[0].total_transmissions
-        for t in ordered[:ceil_count(ratios[-1], len(ordered))]
-    ]
-    return _traffic_curve(dataset, ordered, costs, ratios)
-
-
-def _curve_ratios(mode, ratios, coverage):
-    """Check the arguments of a traffic curve; return the ratios as a tuple."""
     if mode not in TRAFFIC_MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     ratios = tuple(ratios)
     _validate_fraction_grid(ratios, "ratio grid", low_open=False)
-    if mode == CASE_LIMITED_COVERAGE and not 0 < coverage <= 1:
-        raise ValueError(f"coverage must be in (0, 1], got {coverage}")
-    return ratios
-
-
-def _traffic_curve(dataset, ordered, costs, ratios):
-    """The traffic curve from the broadcast costs of the most popular titles.
-
-    ``ordered`` lists every title by popularity, and ``costs[i]`` is the
-    broadcast cost of ``ordered[i]``; it must cover every title the largest
-    ratio broadcasts.  Prefix sums answer every ratio at once.
-    """
-    broadcast = list(accumulate(costs, initial=0))
-    unicast = list(accumulate(
-        (dataset.title_visits[t] for t in ordered[:len(costs)]), initial=0))
-    curve = []
-    for p in ratios:
-        k = ceil_count(p, len(ordered))
-        curve.append((p, broadcast[k] + dataset.total_visits - unicast[k]))
-    return curve
+    counts = [ceil_count(p, dataset.n_titles) for p in ratios]
+    # Only the popularity prefix the largest ratio broadcasts is costed;
+    # each title it broadcasts changes the unicast total by its cost less
+    # its visits.
+    _, _, broadcast, _, missed, _, visits = _title_costs(
+        dataset, mode, coverage, counts[-1])
+    changes = list(accumulate(map(sub, map(add, broadcast, missed), visits),
+                              initial=0))
+    return [(p, dataset.total_visits + changes[k])
+            for p, k in zip(ratios, counts)]

@@ -259,9 +259,10 @@ class TraceDataset:
         covered)``, and each title code's number of distinct cells.
 
         Title code k's entries in either table are ``bounds[k]:bounds[k +
-        1]``; ``first`` is the ranked-index position at which ``cells``
-        first appears, and ``hits[i]`` and ``covered[i]`` sum the hit cells
-        and the covered visits of entries before i.
+        1]``; ``first``, ascending over the whole table, is the ranked-index
+        position at which ``cells`` first appears, and ``hits[i]`` and
+        ``covered[i]`` sum the hit cells and covered visits of entries
+        before i.
         """
         users, titles, cells, _ = self._columns
         n_users, n_titles, n_cells = map(len, self._vocabularies)
@@ -748,7 +749,8 @@ def parse_trace(path):
 def _read_sidecar(sidecar, key):
     """The dataset ``sidecar`` holds under ``key``, or None: a stale,
     damaged or crafted one is None if any :data:`_SIDECAR` member is
-    missing, has another dtype or length, or holds a value out of range."""
+    missing, has another dtype or length, or holds a value out of range,
+    or if ``target_first`` descends anywhere."""
     try:
         with np.load(sidecar, allow_pickle=False) as npz:
             if str(npz["key"]) != key:
@@ -774,6 +776,10 @@ def _read_sidecar(sidecar, key):
                     array[0] == 0 and (np.diff(array) > 0).all() if plus
                     else 0 <= array.min() and array.max() < sizes[bound]):
                 return None
+        # Every search for a title's targets treats it as one sorted array.
+        first = arrays["target_first"]
+        if not (first[1:] >= first[:-1]).all():
+            return None
         for k in range(3):
             arrays[f"ids{k}"] = arrays[f"ids{k}"].astype(str).astype(object)
     except Exception:  # an unreadable sidecar, or non-ASCII identifiers

@@ -14,6 +14,7 @@ from prepush import (
     cli,
     geo_concentration_profile,
     parse_trace,
+    planning,
     titles_by_popularity,
     trace,
 )
@@ -126,6 +127,45 @@ class TestGen:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not output.parent.exists()
+
+    def test_failed_write_leaves_no_partial_trace(self, tmp_path,
+                                                  monkeypatch, capsys):
+        def failing_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            write = handle.write
+
+            def fail_fourth(text):
+                writes.append(text)
+                if len(writes) == 4:  # the second block of rows
+                    raise OSError(28, "No space left on device")
+                return write(text)
+
+            handle.write = fail_fourth
+            return handle
+
+        def gen(output):
+            return run(["gen", "--output", str(output), "--n-users", "60",
+                        "--n-titles", "30", "--n-cells", "25",
+                        "--n-visits", "5000", "--seed", "7"])
+
+        existing = gen_trace(tmp_path)
+        before = existing.read_bytes()
+        new = tmp_path / "new" / "deeper" / "new.csv"
+        monkeypatch.setattr(trace, "_CHUNK_ROWS", 1000)
+        monkeypatch.setattr(trace, "open", failing_open, raising=False)
+        for output in (existing, new):
+            writes = []
+            capsys.readouterr()
+            assert gen(output) == 1
+            assert len(writes) == 4
+            assert capsys.readouterr() == (
+                "", "prepush: error: [Errno 28] No space left on device\n")
+        assert existing.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+        # The directories it makes stay once the write succeeds.
+        monkeypatch.undo()
+        assert gen(new) == 0
+        assert parse_trace(new).total_visits == 5000
 
     def test_determinism_byte_identical(self, tmp_path):
         a = gen_trace(tmp_path, seed=7, name="a.csv")
@@ -499,6 +539,18 @@ def test_commands_build_no_view_on_a_hit(tmp_path, monkeypatch):
     refuse_views(monkeypatch)
     monkeypatch.setattr(trace, "_from_columns", refuse_build)
     assert run_commands(tmp_path, path, "hit") == misses
+
+
+def test_plan_costs_every_title_in_one_pass(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("plan costed one title at a time")
+
+    path = gen_trace(tmp_path)
+    monkeypatch.setattr(planning, "_cost", refuse)
+    monkeypatch.setattr(TraceDataset, "_targeting", refuse)
+    for mode in ("perfect", "assumed", "limited"):
+        assert run(["plan", "--input", str(path),
+                    "--output", str(tmp_path / mode), "--mode", mode]) == 0
 
 
 class TestWriteTables:

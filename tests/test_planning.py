@@ -28,8 +28,10 @@ from prepush import (
     unicast_breakdown,
     unicast_cost,
 )
+from prepush import rounding
 from prepush.cli import _plan_rows
-from prepush.planning import TRAFFIC_MODES
+from prepush.planning import TRAFFIC_MODES, _title_costs
+from prepush.rounding import ceil_count
 
 
 def one_title_dataset():
@@ -273,6 +275,35 @@ class TestTrafficCurve:
             traffic_vs_broadcast_ratio(
                 one_title_dataset(), CASE_LIMITED_COVERAGE, (0.0, 1.0), coverage=0.0
             )
+
+
+def test_large_numerator_rounding_matches_oracle():
+    # The simplest rational whose nearest double is just below 0.2 has a
+    # denominator near 7e15, so its numerator times 8,000 visitors passes
+    # 2**63: int64 rounding wraps round there (it gave -1215 visitors).
+    coverage = math.nextafter(0.2, 0)
+    assert rounding._resolve(coverage)[0] * 8000 >= 2**63
+    records = [VisitRecord(f"u{i}", "t1", f"c{i % 40}") for i in range(8000)]
+    records.append(VisitRecord("u1", "t2", "c1"))
+    ds = build_indexes(records)
+    # Any reading of the double, its binary value too, lies within 1e-16
+    # below 1/5, so a count divisible by 5 gives the same ceiling.
+    exact = Fraction(coverage)
+    assert ceil_count(coverage, 8000) == oracle.exact_ceil(exact, 8000) == 1600
+    want = oracle.coverage_breakdown(records, "t1", exact)
+    bd = coverage_cost(ds, "t1", coverage)
+    assert (bd.broadcast_transmissions, bd.missed_visits,
+            bd.total_transmissions) == want
+    _, titles, broadcast, _, missed, _, _ = _title_costs(
+        ds, CASE_LIMITED_COVERAGE, coverage)
+    assert titles[0] == "t1"
+    assert (broadcast[0], missed[0], broadcast[0] + missed[0]) == want
+    assert traffic_vs_broadcast_ratio(
+        ds, CASE_LIMITED_COVERAGE, (0.0, 1.0), coverage) == [
+            (p, oracle.traffic_total(records, CASE_LIMITED_COVERAGE,
+                                     Fraction(p), exact)) for p in (0.0, 1.0)]
+    rows, _ = _plan_rows(ds, CASE_LIMITED_COVERAGE, coverage)
+    assert rows[0] == ("t1", CASE_LIMITED_COVERAGE, coverage, *want)
 
 
 class TestTitlesByPopularity:

@@ -572,6 +572,14 @@ def test_conservation_property(records):
         assert sum(ds.user_cell_visits[user].values()) == count
 
 
+@given(records_strategy)
+@settings(max_examples=100)
+def test_target_first_ascends_property(records):
+    # The costing of all titles at once searches it as one sorted array.
+    first = build_indexes(records)._planning[1][1]
+    assert (np.diff(first) > 0).all()
+
+
 def refuse_parse(path):
     raise AssertionError("parsed a trace whose sidecar holds it")
 
@@ -680,7 +688,7 @@ class TestLoadTrace:
         "table_dropped", "counts_dropped", "short_table", "int32_first",
         "user_out_of_range", "cell_out_of_range", "negative_popularity",
         "bounds_not_monotone", "bounds_repeat", "bounds_from_one",
-        "bounds_past_end",
+        "bounds_past_end", "target_first_unsorted",
     ])
     def test_bad_sidecar_is_a_miss_and_rewritten(self, tmp_path, damage):
         records = make_random_records(seeded_rng(35), with_timestamps=True)
@@ -768,6 +776,11 @@ class TestLoadTrace:
         elif damage == "bounds_past_end":
             target_bounds[-1] += 1
             self.rewrite(sidecar, target_bounds=target_bounds)
+        elif damage == "target_first_unsorted":
+            # Every entry in range, but the last one first.
+            first = stored["target_first"].copy()
+            first[[0, -1]] = first[[-1, 0]]
+            self.rewrite(sidecar, target_first=first)
         assert sidecar.read_bytes() != good
         assert trace.load_trace(path) == build_indexes(records)
         assert sidecar.read_bytes() == good
