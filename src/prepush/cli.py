@@ -7,6 +7,7 @@ CSV (or JSON mirroring the CSV columns); nothing is rendered here.
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -29,10 +30,9 @@ from .planning import (
     DEFAULT_COVERAGE_GRID,
     DEFAULT_LIMITED_COVERAGE,
     CostBreakdown,
-    _title_costs,
+    _traffic,
     sweep_coverage,
     titles_by_popularity,
-    traffic_vs_broadcast_ratio,
 )
 from .synth import SynthParams, generate
 from .trace import load_trace, write_trace
@@ -202,7 +202,12 @@ def _replacing(paths):
     """Temporary names next to ``paths``, in a directory made if missing,
     to write the files under.  Each is renamed into place once the block
     ends; if it fails, they and the directories made are removed, so a
-    failed write leaves no output."""
+    failed write leaves no output.  A path that is a directory is refused
+    before anything is made."""
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    str(path))
     parent = paths[0].parent
     made = [d for d in (parent, *parent.parents) if not d.exists()]
     parent.mkdir(parents=True, exist_ok=True)
@@ -255,15 +260,15 @@ def _handle_stats(args):
     return 0
 
 
-def _plan_rows(dataset, case, coverage):
+def _plan_rows(case, costs):
     """Cost breakdown and partition-size rows for every title, in
-    popularity order, from one costing pass.
+    popularity order, from the columns of one costing pass
+    (:func:`~prepush.planning._title_costs`).
 
     The partition sizes follow from the counts: the estimated cells hit
     or were mistaken, the actual cells hit or were missing.
     """
-    coverage, titles, estimated, hits, missed, actual, _ = _title_costs(
-        dataset, case, coverage)
+    coverage, titles, estimated, hits, missed, actual, _ = costs
     breakdown_rows = list(zip(titles, repeat(case), repeat(coverage),
                               estimated, missed, map(add, estimated, missed)))
     partition_rows = list(zip(titles, estimated, actual, hits,
@@ -275,9 +280,10 @@ def _plan_rows(dataset, case, coverage):
 def _handle_plan(args):
     dataset = load_trace(args.input)
     case = MODE_CASES[args.mode]
-    curve = traffic_vs_broadcast_ratio(dataset, case, args.ratio_grid,
-                                       args.coverage)
-    breakdown_rows, partition_rows = _plan_rows(dataset, case, args.coverage)
+    # A bad ratio grid is reported before a bad coverage.
+    curve, costs = _traffic(dataset, case, args.ratio_grid, args.coverage,
+                            every_title=True)
+    breakdown_rows, partition_rows = _plan_rows(case, costs)
     baseline = dataset.total_visits
     _write_tables(args, [
         ("breakdowns", _BREAKDOWN_COLUMNS, breakdown_rows),

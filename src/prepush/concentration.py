@@ -62,8 +62,8 @@ class GeoProfile:
 
 def cell_visit_counts(dataset):
     """Total visit count per cell, keys in order of first appearance."""
-    return dict(zip(dataset._vocabularies[2].tolist(),
-                    np.bincount(dataset._columns[2]).tolist()))
+    arrays = dataset._arrays
+    return dict(zip(arrays["ids2"].tolist(), arrays["cell_counts"].tolist()))
 
 
 def concentration_curve(dataset, kind):
@@ -80,14 +80,9 @@ def concentration_curve(dataset, kind):
         Entities sorted by descending visit count, ties broken by
         ascending identifier.
     """
-    if kind == "user":
-        counts = np.fromiter(dataset.user_visits.values(), np.int64)
-    elif kind == "title":
-        counts = np.fromiter(dataset.title_visits.values(), np.int64)
-    elif kind == "cell":
-        counts = np.bincount(dataset._columns[2])
-    else:
+    if kind not in CURVE_KINDS:
         raise ValueError(f"unknown entity kind: {kind!r}")
+    counts = dataset._arrays[f"{kind}_counts"]
     if not len(counts):
         raise EmptyTraceError("cannot build a curve over an empty dataset")
 
@@ -152,13 +147,14 @@ def geo_concentration_profile(dataset, max_rank):
     """
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
-    if not dataset.user_visits:
+    n_users = dataset.n_users
+    if not n_users:
         raise EmptyTraceError("cannot profile an empty dataset")
 
-    n_users = dataset.n_users
     # Each user's cells, most visited first (ties by ascending cell id).
-    bounds, _, counts = dataset._user_cells
-    starts, sizes = np.array(bounds[:-1]), np.diff(bounds)
+    bounds = dataset._arrays["user_cell_bounds"]
+    counts = dataset._arrays["user_cell_counts"]
+    starts, sizes = bounds[:-1], np.diff(bounds)
     shares = counts / np.repeat(np.add.reduceat(counts, starts), sizes)
     # Sum each rank's shares down the users in order, as a loop in Python
     # would: np.sum adds pairwise, which changes the last bits.

@@ -77,7 +77,7 @@ def estimate_target_cells(dataset, title, coverage):
     -------
     frozenset of cell ids
     """
-    n_cells, _, _ = dataset._targeting(title, _checked_coverage(coverage))
+    n_cells, _ = dataset._targeting(title, _checked_coverage(coverage))
     return dataset._target_cells(title, n_cells)
 
 

@@ -103,17 +103,15 @@ def _case_coverage(case, coverage):
 
 
 def _cost(dataset, title, case, coverage):
-    """``(CostBreakdown, hits)`` of one title under one regime.
-
-    ``hits`` counts the broadcast cells the title was visited in.  See
-    :func:`plan_title` for ``case`` and ``coverage``.
-    """
+    """The :class:`CostBreakdown` of one title under one regime; see
+    :func:`plan_title` for ``case`` and ``coverage``."""
     coverage = _case_coverage(case, coverage)
     if case == CASE_PERFECT:
-        n_cells = dataset._planning[2][dataset._title_code(title)]
-        return _breakdown(title, case, coverage, n_cells, 0), n_cells
-    broadcast, hits, missed = dataset._targeting(title, coverage)
-    return _breakdown(title, case, coverage, broadcast, missed), hits
+        code = dataset._title_code(title)
+        n_cells = int(dataset._planning["title_cells"][code])
+        return _breakdown(title, case, coverage, n_cells, 0)
+    broadcast, missed = dataset._targeting(title, coverage)
+    return _breakdown(title, case, coverage, broadcast, missed)
 
 
 def _title_costs(dataset, case, coverage, n=None):
@@ -123,8 +121,7 @@ def _title_costs(dataset, case, coverage, n=None):
     ``cells`` counting distinct visited cells and ``visits`` the unicast
     baseline."""
     coverage = _case_coverage(case, coverage)
-    dataset._planning  # the tables, in ``_arrays`` once built
-    arrays = dataset._arrays
+    arrays = dataset._planning
     codes = arrays["popularity"][:n]
     cells, visits = arrays["title_cells"][codes], arrays["title_counts"][codes]
     broadcast, hits, missed = cells, cells, 0 * visits
@@ -139,7 +136,7 @@ def _title_costs(dataset, case, coverage, n=None):
         hit_sums, covered = arrays["target_hits"], arrays["target_covered"]
         broadcast, hits = end - top, hit_sums[end] - hit_sums[top]
         missed = visits - covered[end] + covered[top]
-    return (coverage, list(dataset._popularity[:n]),
+    return (coverage, arrays["ids1"][codes].tolist(),
             *(c.tolist() for c in (broadcast, hits, missed, cells, visits)))
 
 
@@ -151,7 +148,7 @@ def plan_title(dataset, title, case, coverage):
     the breakdown records 0.0 for unicast and 1.0 for the other regimes.
     Returns ``(CostBreakdown, CellPartition)``.
     """
-    breakdown, _ = _cost(dataset, title, case, coverage)
+    breakdown = _cost(dataset, title, case, coverage)
     if case == CASE_PERFECT:
         estimated = dataset.title_cell_visits[title]
     else:
@@ -162,7 +159,7 @@ def plan_title(dataset, title, case, coverage):
 
 def unicast_breakdown(dataset, title):
     """The unicast baseline as a :class:`CostBreakdown` (no broadcasting)."""
-    return _cost(dataset, title, CASE_UNICAST, 0.0)[0]
+    return _cost(dataset, title, CASE_UNICAST, 0.0)
 
 
 def perfect_cost(dataset, title):
@@ -172,7 +169,7 @@ def perfect_cost(dataset, title):
     so the total is the number of distinct visited cells and never exceeds
     the unicast baseline.
     """
-    return _cost(dataset, title, CASE_PERFECT, 1.0)[0]
+    return _cost(dataset, title, CASE_PERFECT, 1.0)
 
 
 def broadcast_cost(dataset, title, target_cells, case=CASE_ASSUMED_LOCATION,
@@ -191,7 +188,7 @@ def coverage_cost(dataset, title, coverage):
     title's visitors.
     """
     case = CASE_ASSUMED_LOCATION if coverage == 1.0 else CASE_LIMITED_COVERAGE
-    return _cost(dataset, title, case, coverage)[0]
+    return _cost(dataset, title, case, coverage)
 
 
 def _validate_fraction_grid(grid, name, low_open):
@@ -230,7 +227,7 @@ def sweep_coverage(dataset, title, grid=DEFAULT_COVERAGE_GRID):
     """
     grid = tuple(grid)
     _validate_fraction_grid(grid, "coverage grid", low_open=True)
-    broadcast, _, missed = dataset._targeting(title, grid)
+    broadcast, missed = dataset._targeting(title, grid)
     costs = tuple(map(add, broadcast, missed))
     best = costs.index(min(costs))
     return CoverageSweep(
@@ -245,7 +242,8 @@ def sweep_coverage(dataset, title, grid=DEFAULT_COVERAGE_GRID):
 
 def titles_by_popularity(dataset):
     """All titles sorted by descending visit count, ties by ascending id."""
-    return list(dataset._popularity)
+    arrays = dataset._arrays
+    return arrays["ids1"][arrays["popularity"]].tolist()
 
 
 def traffic_vs_broadcast_ratio(dataset, mode, ratios,
@@ -272,17 +270,24 @@ def traffic_vs_broadcast_ratio(dataset, mode, ratios,
     -------
     list of (ratio, total_transmissions)
     """
+    return _traffic(dataset, mode, ratios, coverage)[0]
+
+
+def _traffic(dataset, mode, ratios, coverage, every_title=False):
+    """:func:`traffic_vs_broadcast_ratio`'s curve, and the :func:`_title_costs`
+    columns it was taken from: of the popularity prefix its largest ratio
+    broadcasts, or of every title.  One costing pass serves both."""
     if mode not in TRAFFIC_MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     ratios = tuple(ratios)
     _validate_fraction_grid(ratios, "ratio grid", low_open=False)
     counts = [ceil_count(p, dataset.n_titles) for p in ratios]
-    # Only the popularity prefix the largest ratio broadcasts is costed;
-    # each title it broadcasts changes the unicast total by its cost less
-    # its visits.
-    _, _, broadcast, _, missed, _, visits = _title_costs(
-        dataset, mode, coverage, counts[-1])
+    costs = _title_costs(dataset, mode, coverage,
+                         None if every_title else counts[-1])
+    # Each title the curve broadcasts changes the unicast total by its cost
+    # less its visits.
+    _, _, broadcast, _, missed, _, visits = costs
     changes = list(accumulate(map(sub, map(add, broadcast, missed), visits),
                               initial=0))
     return [(p, dataset.total_visits + changes[k])
-            for p, k in zip(ratios, counts)]
+            for p, k in zip(ratios, counts)], costs

@@ -3,19 +3,20 @@
 A trace is an ordered list of visit records (user, title, cell, optional
 timestamp).  ``TraceDataset`` stores it as integer code columns, with one
 vocabulary of identifiers per entity kind, and adds the aggregations every
-other module consumes: per-title and per-user visit counts and cells,
-and each title's visitors ranked by activity with the cells targeting them
-brings in.  One private builder derives every index with numpy over the
-code columns; :func:`parse_trace`, :func:`build_indexes` and
-``synth.generate`` all feed it, and maps of identifiers beyond the visit
-counts are built on first use.  Datasets are immutable after construction
-and safe to share across threads; all analysis functions in this package
-are pure reads over them.  :func:`load_trace` parses a file once and
-builds its planning tables, then keeps the columns with every index and
-table derived from them (about twice the columns' size) in a sidecar
-``.<name>.prepush.npz`` keyed by its sha256; later reads wrap the stored
-arrays and build nothing.  A stale, damaged or inconsistent sidecar is
-parsed over, and any is safe to delete.
+other module consumes: per-user, per-title and per-cell visit counts, each
+user's cells, and each title's visitors ranked by activity with the cells
+targeting them brings in.  These are named arrays, the dataset's only
+state, declared once in :data:`_SIDECAR`.  One private builder derives
+every index with numpy over the code columns; :func:`parse_trace`,
+:func:`build_indexes` and ``synth.generate`` all feed it, and every map of
+identifiers is built from the arrays on first use.  Datasets are immutable
+after construction and safe to share across threads; all analysis
+functions in this package are pure reads over them.  :func:`load_trace`
+parses a file once and builds its planning tables, then keeps the arrays
+(about twice the columns' size) in a sidecar ``.<name>.prepush.npz`` keyed
+by the sha256 of the bytes parsed; later reads wrap the stored arrays and
+build nothing.  A stale, damaged or inconsistent sidecar is parsed over,
+and any is safe to delete.
 
 Trace file format: UTF-8 text, one header line ``user_id,title_id,cell_id,
 timestamp``, comma-delimited rows, empty timestamp field allowed.
@@ -69,7 +70,7 @@ _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 #: The place values of a timestamp's digits, ones first.
 _PLACES = 10 ** np.arange(18, dtype=np.int64)
 #: A sidecar's key before the sha256: bump it if the layout or parse changes.
-_SIDECAR_KEY = "prepush sidecar 2 sha256 "
+_SIDECAR_KEY = "prepush sidecar 3 sha256 "
 #: The arrays a dataset is built from, as a sidecar stores them after its
 #: key: name, dtype, length and the exclusive bound of its values.  Both
 #: are sizes: of the visits, of each vocabulary, of the timestamps (the
@@ -88,6 +89,7 @@ _SIDECAR = (
     ("user_ranks", np.int64, "users", "users"),
     ("title_counts", np.int64, "titles", None),
     ("popularity", np.int64, "titles", "titles"),
+    ("cell_counts", np.int64, "cells", None),
     ("user_cell_bounds", np.int64, "users+1", "user_cells"),
     ("user_cells", np.int64, "user_cells", "cells"),
     ("user_cell_counts", np.int64, "user_cells", None),
@@ -136,20 +138,22 @@ def _kept(build):
     return property(get, doc=build.__doc__)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class TraceDataset:
-    """Immutable visit columns plus derived per-entity indexes.
+    """Immutable visit columns plus derived per-entity indexes: the arrays
+    named in :data:`_SIDECAR`, and nothing else but views of them.
 
     The visits are three int32 code columns (user, title, cell) and an
-    int64 timestamp column in which -1 stands for "no timestamp".  A code
-    indexes its kind's vocabulary of identifiers, numbered in order of
-    first appearance in the trace, so equal record sequences give equal
-    columns, and ``==`` compares two datasets' records that way.
+    int64 timestamp column in which -1 stands for "no timestamp" (empty
+    for a trace with none).  A code indexes its kind's vocabulary of
+    identifiers, numbered in order of first appearance in the trace, so
+    equal record sequences give equal columns, and ``==`` compares two
+    datasets' records that way.
 
-    All index maps are derived purely from the columns; their keys, and
-    those of the per-title and per-user cell maps, follow first appearance
-    in the trace.  Besides the visit counts, each is a view built on first
-    use and kept in ``_views``, as is ``records``, a read-only tuple of
+    Every map of identifiers, the visit counts too, is a view built from
+    the arrays on first use and kept in ``_views``; their keys, and those
+    of the per-title and per-user cell maps, follow first appearance in
+    the trace.  So is ``records``, a read-only tuple of
     :class:`VisitRecord`.  ``user_top_cell`` maps each user to their most
     visited cell (ties by ascending cell id) and ``user_rank`` to their
     0-based position in descending activity order (ties by ascending id).
@@ -162,59 +166,64 @@ class TraceDataset:
     the cell first appears, its code, and running sums of hit cells (cells
     the title was visited in) and of the visits those cells cover.
     Targeting a title's first k ranked visitors is then one binary search;
-    see :meth:`_targeting`.  Both are built on first use, in the one view
-    ``_planning``, so a dataset that is never planned over never holds
-    them, unless :func:`load_trace` restored them with the columns.
-    ``title_users`` maps each title to the frozenset of its visitors.
+    see :meth:`_targeting`.  ``_planning`` adds both to the arrays on first
+    use, so a dataset that is never planned over never holds them, unless
+    :func:`load_trace` restored them with the columns.  ``title_users``
+    maps each title to the frozenset of its visitors.
     """
 
-    title_visits: dict = field(repr=False)
-    user_visits: dict = field(repr=False)
-    total_visits: int
-    #: User, title and cell identifiers, each an object array by code.
-    _vocabularies: tuple = field(repr=False)
-    #: User, title and cell codes and timestamps, one entry per visit.
-    _columns: tuple = field(repr=False)
-    #: Title identifier to title code.
-    _title_codes: dict = field(repr=False)
-    #: Title identifiers by descending visit count, ties by ascending id.
-    _popularity: tuple = field(repr=False)
-    #: ``(bounds, cells, counts)``: user code k's cells and visits are
-    #: ``bounds[k]:bounds[k + 1]``, most visited first, ties by cell id.
-    _user_cells: tuple = field(repr=False)
-    #: Each user code's position in descending activity order.
-    _user_ranks: np.ndarray = field(repr=False)
-    #: The arrays the dataset was built from, named as in :data:`_SIDECAR`
-    #: (the vocabularies as object arrays); ``_planning`` adds its tables.
-    _arrays: dict = field(repr=False)
-    _views: dict = field(default_factory=dict, init=False, repr=False)
-    #: The ``_planning`` tables once built, for :meth:`_targeting` to read.
-    _tables: tuple = field(default=None, init=False, repr=False)
+    #: The arrays, named as in :data:`_SIDECAR` with the vocabularies as
+    #: object arrays; ``_planning`` adds its tables.
+    _arrays: dict
+    _views: dict = field(default_factory=dict, init=False)
+
+    def __repr__(self):
+        return f"TraceDataset(total_visits={self.total_visits})"
+
+    @property
+    def total_visits(self):
+        return len(self._arrays["codes0"])
 
     @property
     def n_titles(self):
-        return len(self.title_visits)
+        return len(self._arrays["ids1"])
 
     @property
     def n_users(self):
-        return len(self.user_visits)
+        return len(self._arrays["ids0"])
+
+    @_kept
+    def title_visits(self):
+        """Each title's visit count."""
+        return dict(zip(self._arrays["ids1"].tolist(),
+                        self._arrays["title_counts"].tolist()))
+
+    @_kept
+    def user_visits(self):
+        """Each user's visit count."""
+        return dict(zip(self._arrays["ids0"].tolist(),
+                        self._arrays["user_counts"].tolist()))
 
     @_kept
     def records(self):
         """The visits in trace order, as a tuple of :class:`VisitRecord`."""
-        *codes, stamps = self._columns
-        ids = [v[c].tolist() for v, c in zip(self._vocabularies, codes)]
-        given = stamps.astype(object)
-        given[stamps == _NO_TIMESTAMP] = None
-        return tuple(map(VisitRecord, *ids, given.tolist()))
+        a = self._arrays
+        fields = [a[f"ids{k}"][a[f"codes{k}"]].tolist() for k in range(3)]
+        stamps = a["timestamps"]
+        if len(stamps):
+            given = stamps.astype(object)
+            given[stamps == _NO_TIMESTAMP] = None
+            fields.append(given.tolist())
+        return tuple(map(VisitRecord, *fields))
 
     @_kept
     def title_users(self):
         """Each title's distinct visitors, as a frozenset of user ids."""
-        bounds, users = self._planning[0]
-        names = self._vocabularies[0][users].tolist()
-        return {title: frozenset(names[a:b]) for title, a, b in
-                zip(self._vocabularies[1].tolist(), bounds, bounds[1:])}
+        a = self._planning
+        bounds = a["ranked_bounds"].tolist()
+        names = a["ids0"][a["ranked_users"]].tolist()
+        return {title: frozenset(names[start:stop]) for title, start, stop in
+                zip(a["ids1"].tolist(), bounds, bounds[1:])}
 
     @_kept
     def title_cell_visits(self):
@@ -229,34 +238,37 @@ class TraceDataset:
     @_kept
     def user_top_cell(self):
         """Each user's most visited cell (ties by ascending cell id)."""
-        bounds, cells, _ = self._user_cells
-        top = self._vocabularies[2][cells[bounds[:-1]]]
-        return dict(zip(self.user_visits, top.tolist()))
+        a = self._arrays
+        top = a["ids2"][a["user_cells"][a["user_cell_bounds"][:-1]]]
+        return dict(zip(a["ids0"].tolist(), top.tolist()))
 
     @_kept
     def user_rank(self):
         """Each user's 0-based position in descending activity order."""
-        return dict(zip(self.user_visits, self._user_ranks.tolist()))
+        a = self._arrays
+        return dict(zip(a["ids0"].tolist(), a["user_ranks"].tolist()))
 
     def _cell_maps(self, kind):
         """``{id: {cell: visits}}`` over the users (``kind`` 0) or the
         titles (``kind`` 1), each map's keys in order of first appearance."""
-        ids, cell_ids = self._vocabularies[kind], self._vocabularies[2]
-        outer, cells = self._columns[kind], self._columns[2]
+        a = self._arrays
+        ids, cell_ids = a[f"ids{kind}"], a["ids2"]
+        outer, cells = a[f"codes{kind}"], a["codes2"]
         keys, first, counts = _distinct(_pair_keys(outer, cells, len(cell_ids)))
         groups = keys // len(cell_ids)
         order = np.argsort(groups * len(outer) + first)
         bounds = _bounds(groups, len(ids)).tolist()
         cells = cell_ids[(keys % len(cell_ids))[order]].tolist()
         counts = counts[order].tolist()
-        return {key: dict(zip(cells[a:b], counts[a:b]))
-                for key, a, b in zip(ids.tolist(), bounds, bounds[1:])}
+        return {key: dict(zip(cells[start:stop], counts[start:stop]))
+                for key, start, stop in zip(ids.tolist(), bounds, bounds[1:])}
 
     @_kept
     def _planning(self):
-        """``(ranked, targets, title_cells)``: the ranked index ``(bounds,
-        users)``, the first-target table ``(bounds, first, cells, hits,
-        covered)``, and each title code's number of distinct cells.
+        """The arrays, with the tables added unless :func:`load_trace`
+        restored them: the ranked index ``ranked_{bounds,users}``, the
+        first-target table ``target_{bounds,first,cells,hits,covered}``, and
+        ``title_cells``, each title code's number of distinct cells.
 
         Title code k's entries in either table are ``bounds[k]:bounds[k +
         1]``; ``first``, ascending over the whole table, is the ranked-index
@@ -264,21 +276,22 @@ class TraceDataset:
         ``covered[i]`` sum the hit cells and covered visits of entries
         before i.
         """
-        users, titles, cells, _ = self._columns
-        n_users, n_titles, n_cells = map(len, self._vocabularies)
+        a = self._arrays
+        if "title_cells" in a:
+            return a
+        users, titles, cells = a["codes0"], a["codes1"], a["codes2"]
+        n_users, n_titles, n_cells = (len(a[f"ids{k}"]) for k in range(3))
+        ranks = a["user_ranks"]
         # The ranked index: one sort of (title, user rank) keys, deduplicated.
-        keys = _counted(_pair_keys(titles, self._user_ranks[users],
-                                   n_users))[0]
-        ranked_users = self._user_ranks.argsort()[keys % n_users].astype(
-            np.int32)
+        keys = _counted(_pair_keys(titles, ranks[users], n_users))[0]
+        ranked_users = ranks.argsort()[keys % n_users].astype(np.int32)
         ranked_titles = keys // n_users
         del keys
 
         # Each (title, target cell) pair at the first ranked position it
         # appears at, with the visits the cell covers (0 where the title was
         # never visited in it).
-        uc_bounds, uc_cells, _ = self._user_cells
-        top_cells = uc_cells[uc_bounds[:-1]]
+        top_cells = a["user_cells"][a["user_cell_bounds"][:-1]]
         pairs = ranked_titles * n_cells + top_cells[ranked_users]
         first = np.sort(_distinct(pairs)[1])
         pairs = pairs[first]
@@ -289,40 +302,41 @@ class TraceDataset:
         np.cumsum(covers > 0, out=hits[1:])
         covered = np.zeros(len(first) + 1, dtype=np.int64)
         np.cumsum(covers, out=covered[1:])
-        self._arrays.update(
-            ranked_bounds=_bounds(ranked_titles, n_titles),
-            ranked_users=ranked_users,
-            target_bounds=_bounds(ranked_titles[first], n_titles),
-            target_first=first,
-            target_cells=top_cells[ranked_users[first]].astype(np.int32),
-            target_hits=hits, target_covered=covered,
-            title_cells=np.bincount(tc_keys // n_cells))
-        return self._keep_tables()
+        # One update, so that a reader who finds title_cells finds every
+        # table.
+        a.update({
+            "ranked_bounds": _bounds(ranked_titles, n_titles),
+            "ranked_users": ranked_users,
+            "target_bounds": _bounds(ranked_titles[first], n_titles),
+            "target_first": first,
+            "target_cells": top_cells[ranked_users[first]].astype(np.int32),
+            "target_hits": hits, "target_covered": covered,
+            "title_cells": np.bincount(tc_keys // n_cells)})
+        return a
 
-    def _keep_tables(self):
-        """The ``_planning`` view of the tables in ``_arrays``, kept in the
-        views and in the ``_tables`` slot."""
-        a = self._arrays
-        tables = ((a["ranked_bounds"].tolist(), a["ranked_users"]),
-                  (a["target_bounds"].tolist(), a["target_first"],
-                   a["target_cells"], a["target_hits"], a["target_covered"]),
-                  a["title_cells"].tolist())
-        object.__setattr__(self, "_tables", tables)
-        self._views["_planning"] = tables
-        return tables
+    @_kept
+    def _title_index(self):
+        """The one-title queries' tables, lists where they index faster:
+        each title id's code, by code its ranked-index and first-target
+        bounds and visits, and ``target_first`` and ``target_covered``."""
+        a = self._planning
+        return (dict(zip(a["ids1"].tolist(), range(len(a["ids1"])))),
+                a["ranked_bounds"].tolist(), a["target_bounds"].tolist(),
+                a["title_counts"].tolist(), a["target_first"],
+                a["target_covered"])
 
     def _title_code(self, title):
         try:
-            return self._title_codes[title]
+            return self._title_index[0][title]
         except KeyError:
             raise UnknownIdError("title", title) from None
 
     def _ranked_visitors(self, title):
         """The title's distinct visitors, most active first."""
         code = self._title_code(title)
-        bounds, users = self._planning[0]
-        return self._vocabularies[0][
-            users[bounds[code]:bounds[code + 1]]].tolist()
+        ranked = self._title_index[1]
+        users = self._arrays["ranked_users"][ranked[code]:ranked[code + 1]]
+        return self._arrays["ids0"][users].tolist()
 
     def _targeting(self, title, coverage):
         """Cost of targeting the most active ``coverage`` of the title's
@@ -332,39 +346,36 @@ class TraceDataset:
         title's ``n`` ranked visitors; coverage 0 targets none.  Their
         cells are the table entries first reached before position k, so
         one binary search answers any number of coverages.  Returns the
-        number of target cells, how many of them the title was visited in
-        (hits), and the title's visits in no target cell: each an int for
-        one coverage, or a list with one entry per coverage for a tuple.
+        number of target cells and the title's visits in no target cell:
+        each an int for one coverage, or a list with one entry per coverage
+        for a tuple.
         """
-        code = self._title_code(title)
-        (ranked, _), (bounds, first, _, hits, covered), _ = (
-            self._tables or self._planning)
+        codes, ranked, tops, visits, first, covered = self._title_index
+        try:  # not by _title_code: one property read a call
+            code = codes[title]
+        except KeyError:
+            raise UnknownIdError("title", title) from None
         start, stop = ranked[code:code + 2]
         if isinstance(coverage, tuple):
             k = np.array([ceil_count(c, stop - start) for c in coverage])
         else:
             k = ceil_count(coverage, stop - start)
-        top = bounds[code]
+        top = tops[code]
         end = first.searchsorted(start + k)
-        return ((end - top).tolist(), (hits[end] - hits[top]).tolist(),
-                (self.title_visits[title] - covered[end]
-                 + covered[top]).tolist())
+        return ((end - top).tolist(),
+                (visits[code] - covered[end] + covered[top]).tolist())
 
     def _target_cells(self, title, n_cells):
         """The title's first ``n_cells`` target cells, as a frozenset."""
-        bounds, _, cells, *_ = self._planning[1]
-        top = bounds[self._title_code(title)]
-        cells = cells[top:top + n_cells]
-        return frozenset(self._vocabularies[2][cells].tolist())
+        top = self._title_index[2][self._title_code(title)]
+        cells = self._arrays["target_cells"][top:top + n_cells]
+        return frozenset(self._arrays["ids2"][cells].tolist())
 
     def __eq__(self, other):
         if not isinstance(other, TraceDataset):
             return NotImplemented
-        return all(
-            np.array_equal(a, b)
-            for a, b in zip(self._vocabularies + self._columns,
-                            other._vocabularies + other._columns)
-        )
+        return all(np.array_equal(self._arrays[name], other._arrays[name])
+                   for name, *_ in _SIDECAR[:7])
 
 
 class _Columns:
@@ -493,7 +504,7 @@ def _from_columns(vocabularies, users, titles, cells, timestamps=None):
     uc_users, uc_cells = np.divmod(uc_keys, n_cells)
     top = np.lexsort((_id_ranks(cell_ids)[uc_cells], -uc_counts, uc_users))
 
-    return _dataset({
+    return TraceDataset({
         "ids0": user_ids, "ids1": title_ids, "ids2": cell_ids,
         "codes0": users, "codes1": titles, "codes2": cells,
         "timestamps": timestamps,
@@ -503,40 +514,11 @@ def _from_columns(vocabularies, users, titles, cells, timestamps=None):
                                   -user_counts)).argsort(),
         "title_counts": title_counts,
         "popularity": np.lexsort((_id_ranks(title_ids), -title_counts)),
+        "cell_counts": np.bincount(cells, minlength=n_cells),
         "user_cell_bounds": _bounds(uc_users, n_users),
         "user_cells": uc_cells[top],
         "user_cell_counts": uc_counts[top],
     })
-
-
-def _dataset(arrays):
-    """The :class:`TraceDataset` over ``arrays``, named as in
-    :data:`_SIDECAR` with the vocabularies as object arrays and an empty
-    timestamp column for none; the ``_planning`` view too if they hold its
-    tables."""
-    vocabularies = arrays["ids0"], arrays["ids1"], arrays["ids2"]
-    *codes, stamps = (arrays[name] for name in
-                      ("codes0", "codes1", "codes2", "timestamps"))
-    if not len(stamps):
-        # One shared value stands for a whole column without timestamps.
-        stamps = np.broadcast_to(np.int64(_NO_TIMESTAMP), len(codes[0]))
-    user_names, title_names = (ids.tolist() for ids in vocabularies[:2])
-    dataset = TraceDataset(
-        title_visits=dict(zip(title_names, arrays["title_counts"].tolist())),
-        user_visits=dict(zip(user_names, arrays["user_counts"].tolist())),
-        total_visits=len(codes[0]),
-        _vocabularies=vocabularies,
-        _columns=(*codes, stamps),
-        _title_codes=dict(zip(title_names, range(len(title_names)))),
-        _popularity=tuple(vocabularies[1][arrays["popularity"]].tolist()),
-        _user_cells=(arrays["user_cell_bounds"].tolist(),
-                     arrays["user_cells"], arrays["user_cell_counts"]),
-        _user_ranks=arrays["user_ranks"],
-        _arrays=arrays,
-    )
-    if "title_cells" in arrays:
-        dataset._keep_tables()
-    return dataset
 
 
 def build_indexes(records):
@@ -721,9 +703,33 @@ def parse_trace(path):
     EmptyTraceError
         File contains a header but zero records.
     """
+    return _parse(path, None)
+
+
+class _Digesting(io.RawIOBase):
+    """Reads a raw binary file, feeding every byte read to ``digest``."""
+
+    def __init__(self, raw, digest):
+        self.raw, self.digest = raw, digest
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        size = self.raw.readinto(buffer)
+        self.digest.update(memoryview(buffer)[:size])
+        return size
+
+
+def _parse(path, digest):
+    """:func:`parse_trace`, feeding each byte it reads, on the block path
+    and the per-line path alike, to ``digest`` unless that is None."""
     columns = _Columns()
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with (open(path, "rb", buffering=0) as raw,
+              io.TextIOWrapper(io.BufferedReader(
+                  raw if digest is None else _Digesting(raw, digest)),
+                  encoding="utf-8", newline="") as handle):
             header = handle.readline()
             if header == _HEADER_LINE:
                 _add_blocks(columns, handle, path)
@@ -784,7 +790,7 @@ def _read_sidecar(sidecar, key):
             arrays[f"ids{k}"] = arrays[f"ids{k}"].astype(str).astype(object)
     except Exception:  # an unreadable sidecar, or non-ASCII identifiers
         return None
-    return _dataset(arrays)
+    return TraceDataset(arrays)
 
 
 def load_trace(path):
@@ -798,7 +804,11 @@ def load_trace(path):
     dataset = _read_sidecar(sidecar, key)
     if dataset is not None:
         return dataset
-    dataset = parse_trace(path)
+    # Keyed by the bytes parsed, which differ from those hashed above if the
+    # file was rewritten in between.
+    digest = hashlib.sha256()
+    dataset = _parse(path, digest)
+    key = _SIDECAR_KEY + digest.hexdigest()
     dataset._planning  # stored with the columns, so no hit builds it
     # Every array is stored, an empty one for no timestamps: a damaged zip
     # directory can drop a member, but each member's CRC is checked.
@@ -832,8 +842,9 @@ def write_trace(dataset, path):
     # order of first appearance, so a kind's lowest bad code is the first
     # bad one in its column.
     found = []
-    for kind, (name, ids, codes) in enumerate(
-            zip(_ID_FIELDS, dataset._vocabularies, dataset._columns)):
+    arrays = dataset._arrays
+    for kind, name in enumerate(_ID_FIELDS):
+        ids, codes = arrays[f"ids{kind}"], arrays[f"codes{kind}"]
         bad = next((code for code, ident in enumerate(ids.tolist())
                     if not _IDENT_RE.match(ident)), None)
         if bad is not None:
@@ -844,16 +855,17 @@ def write_trace(dataset, path):
         raise ValueError(
             f"record {index}: {what} not writable as [A-Za-z0-9_:-]+"
         )
-    *codes, stamps = dataset._columns
+    stamps = arrays["timestamps"]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(_HEADER_LINE)
         for start in range(0, dataset.total_visits, _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
-            ids = [v[c[rows]].tolist()
-                   for v, c in zip(dataset._vocabularies, codes)]
-            given = stamps[rows]
-            texts = np.full(len(given), "", dtype=object)
-            has = given != _NO_TIMESTAMP
-            texts[has] = given[has].astype(str)
+            ids = [arrays[f"ids{k}"][arrays[f"codes{k}"][rows]].tolist()
+                   for k in range(3)]
+            texts = np.full(len(ids[0]), "", dtype=object)
+            if len(stamps):
+                given = stamps[rows]
+                has = given != _NO_TIMESTAMP
+                texts[has] = given[has].astype(str)
             handle.write("\n".join(map(",".join, zip(*ids, texts.tolist()))))
             handle.write("\n")

@@ -332,6 +332,10 @@ class TestPlan:
             (["plan", "--mode", "limited", "--coverage", "1.5"], "coverage"),
             (["plan", "--ratio-grid", "0,nan"],
              "ratio grid must be strictly increasing"),
+            # The ratio grid is checked before the coverage.
+            (["plan", "--mode", "limited", "--coverage", "1.5",
+              "--ratio-grid", "0.9,0.1"],
+             "ratio grid must be strictly increasing"),
             (["sweep", "--coverage-grid", "0.1,nan"],
              "coverage grid must be strictly increasing"),
         ):
@@ -496,7 +500,7 @@ def refuse_views(monkeypatch, builder=None):
     built = TraceDataset._planning
 
     def planning(self):
-        if ("_planning" not in self._views and sys._getframe(1).f_code
+        if ("title_cells" not in self._arrays and sys._getframe(1).f_code
                 is not getattr(builder, "__code__", None)):
             raise AssertionError("a command built the planning tables")
         return built.fget(self)
@@ -545,12 +549,45 @@ def test_plan_costs_every_title_in_one_pass(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("plan costed one title at a time")
 
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return title_costs(*args, **kwargs)
+
     path = gen_trace(tmp_path)
+    title_costs = planning._title_costs
     monkeypatch.setattr(planning, "_cost", refuse)
     monkeypatch.setattr(TraceDataset, "_targeting", refuse)
+    # Wherever it is called from.
+    monkeypatch.setattr(planning, "_title_costs", counted)
+    monkeypatch.setattr(cli, "_title_costs", counted, raising=False)
     for mode in ("perfect", "assumed", "limited"):
+        passes = []
         assert run(["plan", "--input", str(path),
                     "--output", str(tmp_path / mode), "--mode", mode]) == 0
+        # The curve's prefix and the rows come from the same pass.
+        assert len(passes) == 1
+
+
+@pytest.mark.parametrize("command", ["gen", "plan"])
+def test_output_path_that_is_a_directory(tmp_path, monkeypatch, capsys,
+                                         command):
+    trace_path = gen_trace(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    if command == "gen":
+        target = "isdir"
+        argv = ["gen", "--output", target, "--n-users", "60",
+                "--n-titles", "30", "--n-cells", "25", "--n-visits", "100"]
+    else:
+        target = os.path.join("plan", "breakdowns.csv")
+        argv = ["plan", "--input", str(trace_path), "--output", "plan"]
+    os.makedirs(target)
+    trace.load_trace(trace_path)  # the sidecar plan would write
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"prepush: error: [Errno 21] Is a directory: '{target}'\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestWriteTables:
@@ -591,7 +628,7 @@ class TestSidecar:
 
     def test_cold_and_warm_outputs_byte_identical(self, tmp_path,
                                                    monkeypatch):
-        def refuse_parse(path):
+        def refuse_parse(*args):
             raise AssertionError("parsed a trace its sidecar holds")
 
         path = gen_trace(tmp_path, n_visits=1500)
@@ -603,7 +640,7 @@ class TestSidecar:
                         sidecar_of(path).unlink(missing_ok=True)
                     else:
                         assert sidecar_of(path).exists()
-                        patch.setattr(trace, "parse_trace", refuse_parse)
+                        patch.setattr(trace, "_parse", refuse_parse)
                     outdir = tmp_path / f"{command}{i}_{state}"
                     assert run([command, "--input", str(path),
                                 "--output", str(outdir), *extra]) == 0

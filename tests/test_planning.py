@@ -95,7 +95,7 @@ class TestPerfectCost:
             records = make_random_records(seeded_rng(540 + seed))
             ds = build_indexes(records)
             for case in TRAFFIC_MODES:
-                _, rows = _plan_rows(ds, case, 0.5)
+                _, rows = _plan_rows(case, _title_costs(ds, case, 0.5))
                 for title, _, actual, *_ in rows:
                     want = len(oracle.title_cell_counts(records, title))
                     assert actual == want
@@ -302,7 +302,8 @@ def test_large_numerator_rounding_matches_oracle():
         ds, CASE_LIMITED_COVERAGE, (0.0, 1.0), coverage) == [
             (p, oracle.traffic_total(records, CASE_LIMITED_COVERAGE,
                                      Fraction(p), exact)) for p in (0.0, 1.0)]
-    rows, _ = _plan_rows(ds, CASE_LIMITED_COVERAGE, coverage)
+    rows, _ = _plan_rows(CASE_LIMITED_COVERAGE, _title_costs(
+        ds, CASE_LIMITED_COVERAGE, coverage))
     assert rows[0] == ("t1", CASE_LIMITED_COVERAGE, coverage, *want)
 
 
@@ -436,7 +437,7 @@ class TestFirstTargetTable:
         ds = build_indexes(records)
         coverage = percent / 100
         for case in TRAFFIC_MODES:
-            _, rows = _plan_rows(ds, case, coverage)
+            _, rows = _plan_rows(case, _title_costs(ds, case, coverage))
             for title, *sizes in rows:
                 part = plan_title(ds, title, case, coverage)[1]
                 assert sizes == [len(part.estimated), len(part.actual),

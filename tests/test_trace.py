@@ -1,5 +1,6 @@
 import hashlib
 import os
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -13,11 +14,13 @@ from prepush import (
     EmptyTraceError,
     RecordValidationError,
     SynthParams,
+    TraceDataset,
     TraceFormatError,
     VisitRecord,
     build_indexes,
     generate,
     parse_trace,
+    titles_by_popularity,
     trace,
     write_trace,
 )
@@ -576,11 +579,11 @@ def test_conservation_property(records):
 @settings(max_examples=100)
 def test_target_first_ascends_property(records):
     # The costing of all titles at once searches it as one sorted array.
-    first = build_indexes(records)._planning[1][1]
+    first = build_indexes(records)._planning["target_first"]
     assert (np.diff(first) > 0).all()
 
 
-def refuse_parse(path):
+def refuse_parse(*args):
     raise AssertionError("parsed a trace whose sidecar holds it")
 
 
@@ -590,24 +593,33 @@ def as_tuples(dataset):
 
 
 def assert_same_fields(got, want):
-    """``got`` holds ``want``'s every field and planning table, key order,
-    element and dtype alike: ``==`` compares only the vocabularies and the
-    columns."""
+    """``got`` holds ``want``'s every array, by name, dtype and value, and
+    its maps and popularity order with their key order: ``==`` compares
+    only the vocabularies and the columns."""
     assert got == want
-    for name in ("title_visits", "user_visits", "_title_codes"):
+    assert list(got._arrays) == list(want._arrays)
+    for name, array in want._arrays.items():
+        assert type(got._arrays[name]) is type(array), name
+        assert got._arrays[name].dtype == array.dtype, name
+        assert np.array_equal(got._arrays[name], array), name
+    for name in ("title_visits", "user_visits"):
         assert list(getattr(got, name).items()) == list(
             getattr(want, name).items())
+    assert list(got._title_index[0].items()) == list(
+        want._title_index[0].items())
     assert got.total_visits == want.total_visits
-    assert got._popularity == want._popularity
-    for a, b in zip(*((*ds._vocabularies, *ds._columns, *ds._user_cells,
-                       ds._user_ranks, *ds._planning[0], *ds._planning[1],
-                       ds._planning[2]) for ds in (got, want)), strict=True):
-        assert type(a) is type(b)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
-        else:
-            assert a == b
+    assert titles_by_popularity(got) == titles_by_popularity(want)
+
+
+def test_a_dataset_is_its_arrays(tmp_path):
+    assert [f.name for f in fields(TraceDataset)] == ["_arrays", "_views"]
+    path = write_text(tmp_path, HEADER + "u1,t1,c1,5\nu2,t1,c2,\n")
+    miss = trace.load_trace(path)
+    with mock.patch.object(trace, "_parse", refuse_parse):
+        hit = trace.load_trace(path)
+    assert list(hit._arrays) == list(miss._arrays) == [
+        name for name, *_ in trace._SIDECAR]
+    assert repr(hit) == repr(miss) == "TraceDataset(total_visits=2)"
 
 
 class TestLoadTrace:
@@ -634,7 +646,7 @@ class TestLoadTrace:
                 parsed = parse_trace(path)
                 parsed._planning
                 miss = trace.load_trace(path)
-                with mock.patch.object(trace, "parse_trace", refuse_parse):
+                with mock.patch.object(trace, "_parse", refuse_parse):
                     hit = trace.load_trace(path)
                 for ds in (miss, hit):
                     assert_same_fields(ds, parsed)
@@ -671,6 +683,31 @@ class TestLoadTrace:
         assert (got.value.line_no, str(got.value)) == (
             want.value.line_no, str(want.value)) == (2, error)
 
+    def test_rewrite_between_hash_and_parse(self, tmp_path, monkeypatch):
+        # The trace changes after load_trace hashes it and before it is
+        # parsed, then changes back: the sidecar must not hold the other
+        # bytes' dataset under the restored bytes' key.
+        def rewrite(handle, name):
+            digest = file_digest(handle, name)
+            path.write_text(HEADER + "u1,t9,c1,\n", encoding="utf-8")
+            return digest
+
+        before = HEADER + "u1,t1,c1,\nu2,t1,c2,\n"
+        path = write_text(tmp_path, before)
+        file_digest = hashlib.file_digest
+        with monkeypatch.context() as patch:
+            patch.setattr(hashlib, "file_digest", rewrite)
+            assert trace.load_trace(path).title_visits == {"t9": 1}
+        path.write_text(before, encoding="utf-8")
+        parsed = parse_trace(path)
+        parsed._planning
+        assert parsed.title_visits == {"t1": 2}
+        miss = trace.load_trace(path)
+        with mock.patch.object(trace, "_parse", refuse_parse):
+            hit = trace.load_trace(path)
+        for ds in (miss, hit):
+            assert_same_fields(ds, parsed)
+
     @staticmethod
     def rewrite(sidecar, drop=(), **changes):
         with np.load(sidecar) as npz:
@@ -688,7 +725,7 @@ class TestLoadTrace:
         "table_dropped", "counts_dropped", "short_table", "int32_first",
         "user_out_of_range", "cell_out_of_range", "negative_popularity",
         "bounds_not_monotone", "bounds_repeat", "bounds_from_one",
-        "bounds_past_end", "target_first_unsorted",
+        "bounds_past_end", "target_first_unsorted", "cell_counts_dropped",
     ])
     def test_bad_sidecar_is_a_miss_and_rewritten(self, tmp_path, damage):
         records = make_random_records(seeded_rng(35), with_timestamps=True)
@@ -781,10 +818,12 @@ class TestLoadTrace:
             first = stored["target_first"].copy()
             first[[0, -1]] = first[[-1, 0]]
             self.rewrite(sidecar, target_first=first)
+        elif damage == "cell_counts_dropped":
+            self.rewrite(sidecar, drop=("cell_counts",))
         assert sidecar.read_bytes() != good
         assert trace.load_trace(path) == build_indexes(records)
         assert sidecar.read_bytes() == good
-        with mock.patch.object(trace, "parse_trace", refuse_parse):
+        with mock.patch.object(trace, "_parse", refuse_parse):
             assert trace.load_trace(path).records == tuple(records)
 
     def test_version_1_sidecar_is_a_miss_and_replaced(self, tmp_path):
@@ -814,7 +853,7 @@ class TestLoadTrace:
             assert npz["timestamps"].shape == (0,)
             assert [npz[f"ids{k}"].dtype.kind for k in range(3)] == ["S"] * 3
             assert [npz[f"codes{k}"].dtype for k in range(3)] == [np.int32] * 3
-        with mock.patch.object(trace, "parse_trace", refuse_parse):
+        with mock.patch.object(trace, "_parse", refuse_parse):
             assert trace.load_trace(path).records == (
                 VisitRecord("u1", "t1", "c1"), VisitRecord("u2", "t1", "c2"))
 
