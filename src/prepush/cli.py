@@ -260,7 +260,7 @@ def _handle_stats(args):
     return 0
 
 
-def _plan_rows(case, costs):
+def _plan_rows(dataset, case, costs):
     """Cost breakdown and partition-size rows for every title, in
     popularity order, from the columns of one costing pass
     (:func:`~prepush.planning._title_costs`).
@@ -268,7 +268,8 @@ def _plan_rows(case, costs):
     The partition sizes follow from the counts: the estimated cells hit
     or were mistaken, the actual cells hit or were missing.
     """
-    coverage, titles, estimated, hits, missed, actual, _ = costs
+    titles = titles_by_popularity(dataset)
+    coverage, estimated, hits, missed, actual, _ = costs
     breakdown_rows = list(zip(titles, repeat(case), repeat(coverage),
                               estimated, missed, map(add, estimated, missed)))
     partition_rows = list(zip(titles, estimated, actual, hits,
@@ -283,7 +284,7 @@ def _handle_plan(args):
     # A bad ratio grid is reported before a bad coverage.
     curve, costs = _traffic(dataset, case, args.ratio_grid, args.coverage,
                             every_title=True)
-    breakdown_rows, partition_rows = _plan_rows(case, costs)
+    breakdown_rows, partition_rows = _plan_rows(dataset, case, costs)
     baseline = dataset.total_visits
     _write_tables(args, [
         ("breakdowns", _BREAKDOWN_COLUMNS, breakdown_rows),

@@ -11,9 +11,9 @@ as unicast), and mistaken (targeted but never visited; wasted broadcasts).
 :func:`most_active_cell` reads ``user_top_cell``, a map the dataset
 builds on first use.  Ranking and targeting read two tables the dataset
 also builds on first use: each title's visitors in descending activity
-order (the ranked index), and the cells those visitors bring in, each at
-the first rank that reaches it (the first-target table).  So ranking is a
-slice and targeting is one binary search (``TraceDataset._targeting``).
+order (the ranked index), and the cells those visitors bring in, in the
+order they are first reached (the first-target table).  So ranking is a
+slice and targeting is two array reads (``TraceDataset._targeting``).
 """
 
 from dataclasses import dataclass

@@ -18,10 +18,10 @@ U-shaped in coverage rather than monotone.
 Every regime, the unicast baseline included, is costed by one dispatch
 from counts alone: unicast, assumed location and limited coverage target
 a prefix of the title's visitors ranked by activity (none, all, or the
-most active fraction), and each prefix is costed by one binary search of
-the dataset's first-target table.  The traffic curve and the CLI's rows
-cost all titles in one pass, one search for every title at once.  Only
-:func:`plan_title` builds the cell sets of a
+most active fraction), and each prefix is costed by reading the
+dataset's prefix columns at its two ends.  The traffic curve and the
+CLI's rows cost all titles in one pass, reading every title's at once.
+Only :func:`plan_title` builds the cell sets of a
 :class:`~prepush.placement.CellPartition`.
 """
 
@@ -116,10 +116,9 @@ def _cost(dataset, title, case, coverage):
 
 def _title_costs(dataset, case, coverage, n=None):
     """:func:`_cost` of the ``n`` most popular titles (all by default) in
-    one pass: ``(coverage, titles, broadcast, hits, missed, cells,
-    visits)``, the regime's coverage and then lists in popularity order,
-    ``cells`` counting distinct visited cells and ``visits`` the unicast
-    baseline."""
+    one pass: ``(coverage, broadcast, hits, missed, cells, visits)``, the
+    regime's coverage and then lists in popularity order, ``cells``
+    counting distinct visited cells and ``visits`` the unicast baseline."""
     coverage = _case_coverage(case, coverage)
     arrays = dataset._planning
     codes = arrays["popularity"][:n]
@@ -129,14 +128,13 @@ def _title_costs(dataset, case, coverage, n=None):
         bounds = arrays["ranked_bounds"]
         start, sizes = bounds[codes], bounds[codes + 1] - bounds[codes]
         # Python ints: a fraction's numerator times a count can pass 2**63.
-        k = [ceil_count(coverage, size) for size in sizes.tolist()]
-        # ``first`` ascends across titles, so one search serves them all.
-        end = arrays["target_first"].searchsorted(start + k)
-        top = arrays["target_bounds"][codes]
-        hit_sums, covered = arrays["target_hits"], arrays["target_covered"]
-        broadcast, hits = end - top, hit_sums[end] - hit_sums[top]
-        missed = visits - covered[end] + covered[top]
-    return (coverage, arrays["ids1"][codes].tolist(),
+        end = start + [ceil_count(coverage, size) for size in sizes.tolist()]
+        # Each prefix column at the prefix's end less at its start.
+        broadcast, hits, covered = (
+            sub(*arrays[f"ranked_{name}"][[end, start]])
+            for name in ("targets", "hits", "covered"))
+        missed = visits - covered
+    return (coverage,
             *(c.tolist() for c in (broadcast, hits, missed, cells, visits)))
 
 
@@ -222,8 +220,8 @@ def sweep_coverage(dataset, title, grid=DEFAULT_COVERAGE_GRID):
     Notes
     -----
     Each grid point targets a prefix of the title's ranked visitors, and
-    one binary search of the dataset's first-target table costs every
-    grid point at once, with no work per visitor.
+    two reads of each of the dataset's prefix columns cost it, with no
+    work per visitor.
     """
     grid = tuple(grid)
     _validate_fraction_grid(grid, "coverage grid", low_open=True)
@@ -286,7 +284,7 @@ def _traffic(dataset, mode, ratios, coverage, every_title=False):
                          None if every_title else counts[-1])
     # Each title the curve broadcasts changes the unicast total by its cost
     # less its visits.
-    _, _, broadcast, _, missed, _, visits = costs
+    _, broadcast, _, missed, _, visits = costs
     changes = list(accumulate(map(sub, map(add, broadcast, missed), visits),
                               initial=0))
     return [(p, dataset.total_visits + changes[k])

@@ -3,7 +3,7 @@
 A fraction such as 0.05, 0.3 or 1/3 stands for a simple rational, but a
 binary float holds only the nearest double to it, so ``fraction * n`` can
 land an ulp on the wrong side of an integer (e.g.
-``0.3 * 10 == 2.9999999999999996``).  Both functions therefore read the
+``0.3 * 10 == 2.9999999999999996``).  Every function therefore reads the
 fraction as the simplest rational that rounds to it, and round that
 rational's product with ``n`` in integer arithmetic, which is exact at any
 scale.  For a decimal of up to seven places the simplest rational is the
@@ -22,18 +22,21 @@ def _simplest_between(lo, hi):
     return whole + 1 / _simplest_between(1 / (hi - whole), 1 / (lo - whole))
 
 
-#: Fractions resolved so far: callers round the same few grid values
-#: again and again, and a lookup costs a fraction of resolving one.
+#: Fractions and tuples of them resolved so far: callers round the same
+#: few grids again and again, and a lookup costs a fraction of resolving.
 _RATIONALS = {}
 
 
 def _resolve(fraction):
     """``(numerator, denominator)`` of the simplest rational whose nearest
-    double is ``fraction``, remembered in :data:`_RATIONALS`."""
-    x = abs(float(fraction))
-    if x == 0:
+    double is ``fraction``, or a tuple of them for a tuple of fractions,
+    remembered in :data:`_RATIONALS`."""
+    if isinstance(fraction, tuple):
+        ratio = tuple(_RATIONALS.get(f) or _resolve(f) for f in fraction)
+    elif fraction == 0:
         ratio = 0, 1
     else:
+        x = abs(float(fraction))
         # Every real strictly between the midpoints to the neighbouring
         # doubles rounds to x; the midpoints themselves are never simplest.
         below = (Fraction(math.nextafter(x, 0)) + Fraction(x)) / 2
@@ -57,3 +60,10 @@ def ceil_count(fraction, n):
     """Smallest k with k >= fraction * n, exact for any n."""
     numerator, denominator = _RATIONALS.get(fraction) or _resolve(fraction)
     return -(-numerator * n // denominator)
+
+
+def ceil_counts(fractions, n):
+    """:func:`ceil_count` of each of a tuple of fractions, as a list; the
+    tuple's rationals are resolved once and remembered under the tuple."""
+    ratios = _RATIONALS.get(fractions) or _resolve(fractions)
+    return [-(-p * n // q) for p, q in ratios]

@@ -4,9 +4,10 @@ A trace is an ordered list of visit records (user, title, cell, optional
 timestamp).  ``TraceDataset`` stores it as integer code columns, with one
 vocabulary of identifiers per entity kind, and adds the aggregations every
 other module consumes: per-user, per-title and per-cell visit counts, each
-user's cells, and each title's visitors ranked by activity with the cells
-targeting them brings in.  These are named arrays, the dataset's only
-state, declared once in :data:`_SIDECAR`.  One private builder derives
+user's cells, each title's visitors ranked by activity, and the cells
+targeting them brings in, counted along that ranking so that two reads
+cost targeting any prefix of it.  These are named arrays, the dataset's
+only state, declared once in :data:`_SIDECAR`.  One private builder derives
 every index with numpy over the code columns; :func:`parse_trace`,
 :func:`build_indexes` and ``synth.generate`` all feed it, and every map of
 identifiers is built from the arrays on first use.  Datasets are immutable
@@ -50,7 +51,7 @@ from .errors import (
     TraceFormatError,
     UnknownIdError,
 )
-from .rounding import ceil_count
+from .rounding import ceil_count, ceil_counts
 
 TRACE_HEADER = ("user_id", "title_id", "cell_id", "timestamp")
 
@@ -70,13 +71,13 @@ _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 #: The place values of a timestamp's digits, ones first.
 _PLACES = 10 ** np.arange(18, dtype=np.int64)
 #: A sidecar's key before the sha256: bump it if the layout or parse changes.
-_SIDECAR_KEY = "prepush sidecar 3 sha256 "
+_SIDECAR_KEY = "prepush sidecar 4 sha256 "
 #: The arrays a dataset is built from, as a sidecar stores them after its
 #: key: name, dtype, length and the exclusive bound of its values.  Both
 #: are sizes: of the visits, of each vocabulary, of the timestamps (the
-#: visits, or 0 for none), or the last entry of a bounds array.  A bounds
-#: array has a ``+1`` length and a bound, and runs strictly up from 0 to
-#: that bound.  The members from ``ranked_bounds`` on are ``_planning``'s.
+#: visits, or 0 for none), of the target cells, or the last entry of a
+#: bounds array, which is ``+1`` long and runs strictly up from 0 to its
+#: bound.  The members from ``ranked_bounds`` on are ``_planning``'s.
 _SIDECAR = (
     ("ids0", "S", "users", None),
     ("ids1", "S", "titles", None),
@@ -95,12 +96,10 @@ _SIDECAR = (
     ("user_cell_counts", np.int64, "user_cells", None),
     ("ranked_bounds", np.int64, "titles+1", "ranked"),
     ("ranked_users", np.int32, "ranked", "users"),
-    ("target_bounds", np.int64, "titles+1", "targets"),
-    # int64 as the keys it is searched with, or each search casts it.
-    ("target_first", np.int64, "targets", "ranked"),
+    ("ranked_targets", np.int32, "ranked+1", None),
+    ("ranked_hits", np.int32, "ranked+1", None),
+    ("ranked_covered", np.int64, "ranked+1", None),
     ("target_cells", np.int32, "targets", "cells"),
-    ("target_hits", np.int32, "targets+1", None),
-    ("target_covered", np.int64, "targets+1", None),
     ("title_cells", np.int64, "titles", None),
 )
 
@@ -158,18 +157,18 @@ class TraceDataset:
     visited cell (ties by ascending cell id) and ``user_rank`` to their
     0-based position in descending activity order (ties by ascending id).
 
-    Placement and planning read two private indexes of integer arrays
-    instead of sets of identifiers.  The *ranked index* holds each title's
-    distinct visitors as user codes, most active first.  The *first-target
-    table* holds, for each title, one entry per distinct target cell (a
-    visitor's most active cell): the position in the ranked index at which
-    the cell first appears, its code, and running sums of hit cells (cells
-    the title was visited in) and of the visits those cells cover.
-    Targeting a title's first k ranked visitors is then one binary search;
-    see :meth:`_targeting`.  ``_planning`` adds both to the arrays on first
-    use, so a dataset that is never planned over never holds them, unless
-    :func:`load_trace` restored them with the columns.  ``title_users``
-    maps each title to the frozenset of its visitors.
+    Placement and planning read two private indexes of integer arrays instead
+    of sets of identifiers.  The *ranked index* holds each title's distinct
+    visitors as user codes, most active first.  The *first-target table* holds
+    each title's distinct target cells (a visitor's most active cell) in the
+    order the ranked index first reaches them; prefix columns over the ranked
+    index count the entries reached before each position, their hit cells
+    (cells the title was visited in) and the visits those cells cover.
+    Targeting a title's first k ranked visitors is then two reads of each
+    column; see :meth:`_targeting`.  ``_planning`` adds both to the arrays
+    on first use, so a dataset never planned over never holds them, unless
+    :func:`load_trace` restored them with the columns.  ``title_users`` maps
+    each title to the frozenset of its visitors.
     """
 
     #: The arrays, named as in :data:`_SIDECAR` with the vocabularies as
@@ -267,14 +266,14 @@ class TraceDataset:
     def _planning(self):
         """The arrays, with the tables added unless :func:`load_trace`
         restored them: the ranked index ``ranked_{bounds,users}``, the
-        first-target table ``target_{bounds,first,cells,hits,covered}``, and
-        ``title_cells``, each title code's number of distinct cells.
+        first-target table ``target_cells`` and its prefix columns
+        ``ranked_{targets,hits,covered}``, and ``title_cells``, each title
+        code's number of distinct cells.
 
-        Title code k's entries in either table are ``bounds[k]:bounds[k +
-        1]``; ``first``, ascending over the whole table, is the ranked-index
-        position at which ``cells`` first appears, and ``hits[i]`` and
-        ``covered[i]`` sum the hit cells and covered visits of entries
-        before i.
+        ``targets[r]`` counts the entries first reached before ranked
+        position r, and ``hits[r]`` and ``covered[r]`` sum their hit cells
+        and covered visits; ranked positions s to e reach the entries
+        ``target_cells[targets[s]:targets[e]]``.
         """
         a = self._arrays
         if "title_cells" in a:
@@ -298,32 +297,36 @@ class TraceDataset:
         tc_keys, tc_counts = _counted(_pair_keys(titles, cells, n_cells))
         at = tc_keys.searchsorted(pairs).clip(max=len(tc_keys) - 1)
         covers = np.where(tc_keys[at] == pairs, tc_counts[at], 0)
-        hits = np.zeros(len(first) + 1, dtype=np.int32)
-        np.cumsum(covers > 0, out=hits[1:])
-        covered = np.zeros(len(first) + 1, dtype=np.int64)
-        np.cumsum(covers, out=covered[1:])
+        title_cells = np.bincount(tc_keys // n_cells)
+        del pairs, at, tc_keys, tc_counts
+        # Each prefix column steps at the positions that reach a new entry.
+        prefix = {}
+        for name, dtype, step in (("ranked_targets", np.int32, 1),
+                                  ("ranked_hits", np.int32, covers > 0),
+                                  ("ranked_covered", np.int64, covers)):
+            prefix[name] = np.zeros(len(ranked_users) + 1, dtype=dtype)
+            prefix[name][first + 1] = step
+            np.cumsum(prefix[name], out=prefix[name])
         # One update, so that a reader who finds title_cells finds every
         # table.
         a.update({
             "ranked_bounds": _bounds(ranked_titles, n_titles),
-            "ranked_users": ranked_users,
-            "target_bounds": _bounds(ranked_titles[first], n_titles),
-            "target_first": first,
+            "ranked_users": ranked_users, **prefix,
             "target_cells": top_cells[ranked_users[first]].astype(np.int32),
-            "target_hits": hits, "target_covered": covered,
-            "title_cells": np.bincount(tc_keys // n_cells)})
+            "title_cells": title_cells})
         return a
 
     @_kept
     def _title_index(self):
-        """The one-title queries' tables, lists where they index faster:
-        each title id's code, by code its ranked-index and first-target
-        bounds and visits, and ``target_first`` and ``target_covered``."""
+        """The one-title queries' tables, read a Python object at a time:
+        each title id's code, by code its ranked bounds and visits, the cell
+        ids, and memoryviews of ``ranked_{targets,covered}, target_cells``."""
         a = self._planning
         return (dict(zip(a["ids1"].tolist(), range(len(a["ids1"])))),
-                a["ranked_bounds"].tolist(), a["target_bounds"].tolist(),
-                a["title_counts"].tolist(), a["target_first"],
-                a["target_covered"])
+                a["ranked_bounds"].tolist(), a["title_counts"].tolist(),
+                a["ids2"].tolist(), *map(memoryview, (
+                    a["ranked_targets"], a["ranked_covered"],
+                    a["target_cells"])))
 
     def _title_code(self, title):
         try:
@@ -343,33 +346,32 @@ class TraceDataset:
         visitors, each in their most active cell.
 
         A coverage targets the first ``k = ceil(coverage * n)`` of the
-        title's ``n`` ranked visitors; coverage 0 targets none.  Their
-        cells are the table entries first reached before position k, so
-        one binary search answers any number of coverages.  Returns the
-        number of target cells and the title's visits in no target cell:
-        each an int for one coverage, or a list with one entry per coverage
-        for a tuple.
+        title's ``n`` ranked visitors, from ranked position s; coverage 0
+        targets none.  Their cells are the table entries first reached
+        before position ``s + k``, so each coverage is two reads of each
+        prefix column.  Returns the number of target cells and the title's
+        visits in no target cell: each an int for one coverage, or a list
+        with one entry per coverage for a tuple.
         """
-        codes, ranked, tops, visits, first, covered = self._title_index
+        codes, ranked, visits, _, targets, covered, _ = self._title_index
         try:  # not by _title_code: one property read a call
             code = codes[title]
         except KeyError:
             raise UnknownIdError("title", title) from None
         start, stop = ranked[code:code + 2]
+        top, offset = targets[start], visits[code] + covered[start]
         if isinstance(coverage, tuple):
-            k = np.array([ceil_count(c, stop - start) for c in coverage])
-        else:
-            k = ceil_count(coverage, stop - start)
-        top = tops[code]
-        end = first.searchsorted(start + k)
-        return ((end - top).tolist(),
-                (visits[code] - covered[end] + covered[top]).tolist())
+            ends = [start + k for k in ceil_counts(coverage, stop - start)]
+            return ([targets[end] - top for end in ends],
+                    [offset - covered[end] for end in ends])
+        end = start + ceil_count(coverage, stop - start)
+        return targets[end] - top, offset - covered[end]
 
     def _target_cells(self, title, n_cells):
         """The title's first ``n_cells`` target cells, as a frozenset."""
-        top = self._title_index[2][self._title_code(title)]
-        cells = self._arrays["target_cells"][top:top + n_cells]
-        return frozenset(self._arrays["ids2"][cells].tolist())
+        _, ranked, _, names, targets, _, cells = self._title_index
+        top = targets[ranked[self._title_code(title)]]
+        return frozenset(map(names.__getitem__, cells[top:top + n_cells]))
 
     def __eq__(self, other):
         if not isinstance(other, TraceDataset):
@@ -756,16 +758,18 @@ def _read_sidecar(sidecar, key):
     """The dataset ``sidecar`` holds under ``key``, or None: a stale,
     damaged or crafted one is None if any :data:`_SIDECAR` member is
     missing, has another dtype or length, or holds a value out of range,
-    or if ``target_first`` descends anywhere."""
+    or if ``ranked_targets`` does not count up from 0 to its entries."""
     try:
-        with np.load(sidecar, allow_pickle=False) as npz:
+        with (open(sidecar, "rb") as handle,
+              np.load(handle, allow_pickle=False) as npz):
             if str(npz["key"]) != key:
                 return None
             arrays = {name: npz[name] for name, *_ in _SIDECAR}
         n = len(arrays["codes0"])
         sizes = {"visits": n, "stamps": n if len(arrays["timestamps"]) else 0,
                  "users": len(arrays["ids0"]), "titles": len(arrays["ids1"]),
-                 "cells": len(arrays["ids2"])}
+                 "cells": len(arrays["ids2"]),
+                 "targets": len(arrays["target_cells"])}
         # A bounds array's last entry sizes the arrays it bounds.
         sizes.update((bound, int(arrays[name][-1]))
                      for name, _, length, bound in _SIDECAR
@@ -782,9 +786,11 @@ def _read_sidecar(sidecar, key):
                     array[0] == 0 and (np.diff(array) > 0).all() if plus
                     else 0 <= array.min() and array.max() < sizes[bound]):
                 return None
-        # Every search for a title's targets treats it as one sorted array.
-        first = arrays["target_first"]
-        if not (first[1:] >= first[:-1]).all():
+        # Each ranked position reaches at most one new entry.
+        targets = arrays["ranked_targets"]
+        steps = np.diff(targets)
+        if not (targets[0] == 0 and targets[-1] == sizes["targets"]
+                and 0 <= steps.min() and steps.max() <= 1):
             return None
         for k in range(3):
             arrays[f"ids{k}"] = arrays[f"ids{k}"].astype(str).astype(object)

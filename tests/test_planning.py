@@ -1,5 +1,7 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,9 +26,11 @@ from prepush import (
     plan_title,
     sweep_coverage,
     titles_by_popularity,
+    trace,
     traffic_vs_broadcast_ratio,
     unicast_breakdown,
     unicast_cost,
+    write_trace,
 )
 from prepush import rounding
 from prepush.cli import _plan_rows
@@ -95,7 +99,7 @@ class TestPerfectCost:
             records = make_random_records(seeded_rng(540 + seed))
             ds = build_indexes(records)
             for case in TRAFFIC_MODES:
-                _, rows = _plan_rows(case, _title_costs(ds, case, 0.5))
+                _, rows = _plan_rows(ds, case, _title_costs(ds, case, 0.5))
                 for title, _, actual, *_ in rows:
                     want = len(oracle.title_cell_counts(records, title))
                     assert actual == want
@@ -294,15 +298,15 @@ def test_large_numerator_rounding_matches_oracle():
     bd = coverage_cost(ds, "t1", coverage)
     assert (bd.broadcast_transmissions, bd.missed_visits,
             bd.total_transmissions) == want
-    _, titles, broadcast, _, missed, _, _ = _title_costs(
+    _, broadcast, _, missed, _, _ = _title_costs(
         ds, CASE_LIMITED_COVERAGE, coverage)
-    assert titles[0] == "t1"
+    assert titles_by_popularity(ds)[0] == "t1"
     assert (broadcast[0], missed[0], broadcast[0] + missed[0]) == want
     assert traffic_vs_broadcast_ratio(
         ds, CASE_LIMITED_COVERAGE, (0.0, 1.0), coverage) == [
             (p, oracle.traffic_total(records, CASE_LIMITED_COVERAGE,
                                      Fraction(p), exact)) for p in (0.0, 1.0)]
-    rows, _ = _plan_rows(CASE_LIMITED_COVERAGE, _title_costs(
+    rows, _ = _plan_rows(ds, CASE_LIMITED_COVERAGE, _title_costs(
         ds, CASE_LIMITED_COVERAGE, coverage))
     assert rows[0] == ("t1", CASE_LIMITED_COVERAGE, coverage, *want)
 
@@ -437,9 +441,67 @@ class TestFirstTargetTable:
         ds = build_indexes(records)
         coverage = percent / 100
         for case in TRAFFIC_MODES:
-            _, rows = _plan_rows(case, _title_costs(ds, case, coverage))
+            _, rows = _plan_rows(ds, case, _title_costs(ds, case, coverage))
             for title, *sizes in rows:
                 part = plan_title(ds, title, case, coverage)[1]
                 assert sizes == [len(part.estimated), len(part.actual),
                                  len(part.hit), len(part.missing),
                                  len(part.mistaken), part.missed_visits]
+
+    @staticmethod
+    def built_and_hit(records, tmp_path_factory):
+        """The dataset built from ``records``, and the same trace read back
+        from its sidecar with parsing refused."""
+        path = tmp_path_factory.mktemp("table") / "trace.csv"
+        write_trace(build_indexes(records), path)
+        trace.load_trace(path)
+        with mock.patch.object(trace, "_parse", side_effect=AssertionError(
+                "parsed a trace whose sidecar holds it")):
+            return build_indexes(records), trace.load_trace(path)
+
+    @given(table_records)
+    @example(TABLE_EXAMPLE)
+    @settings(max_examples=100, deadline=None)
+    def test_prefix_columns_match_oracle(self, tmp_path_factory, records):
+        # Targeting the first k ranked visitors reads each prefix column at
+        # the title's start s and at s + k, for every k from 0 to n.
+        for ds in self.built_and_hit(records, tmp_path_factory):
+            a = ds._planning
+            targets, hits, covered = (a[f"ranked_{name}"] for name in
+                                      ("targets", "hits", "covered"))
+            for title, visits in ds.title_visits.items():
+                code = ds._title_code(title)
+                start, stop = a["ranked_bounds"][code:code + 2].tolist()
+                for k in range(stop - start + 1):
+                    s, e = start, start + k
+                    cells = a["ids2"][a["target_cells"][
+                        targets[s]:targets[e]]].tolist()
+                    got = (int(targets[e] - targets[s]),
+                           int(hits[e] - hits[s]),
+                           visits - int(covered[e] - covered[s]))
+                    if k == 0:
+                        assert got == (0, 0, visits) and cells == []
+                        continue
+                    coverage = Fraction(k, stop - start)
+                    want = oracle.target_cells(records, title, coverage)
+                    broadcast, missed, _ = oracle.coverage_breakdown(
+                        records, title, coverage)
+                    hit = oracle.partition(records, title, want)[0]
+                    assert got == (broadcast, len(hit), missed)
+                    assert len(cells) == len(want) and set(cells) == want
+
+    def test_queries_return_python_numbers(self, tmp_path_factory):
+        # Every field is a Python int or float (or str), never a numpy
+        # scalar, on a built dataset and on a sidecar hit.
+        records = make_random_records(seeded_rng(61))
+        for ds in self.built_and_hit(records, tmp_path_factory):
+            for title in ds.title_visits:
+                for coverage in (0.2, 0.5, 1.0):
+                    bd = coverage_cost(ds, title, coverage)
+                    values = [getattr(bd, f.name) for f in fields(bd)]
+                    assert {type(v) for v in values} <= {int, float, str}
+                sweep = sweep_coverage(ds, title)
+                values = [sweep.title_id, *sweep.grid, *sweep.costs,
+                          sweep.unicast_baseline, sweep.optimal_coverage,
+                          sweep.optimal_cost]
+                assert {type(v) for v in values} <= {int, float, str}

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from prepush.rounding import ceil_count, floor_count
+from prepush import rounding
+from prepush.rounding import ceil_count, ceil_counts, floor_count
 
 hundredths = st.integers(min_value=0, max_value=100).map(lambda h: h / 100)
 
@@ -79,3 +81,43 @@ def test_any_fraction_brackets_its_product(fraction, n):
     assert floor <= ceil <= floor + 1
     assert floor <= fraction * n * (1 + 1e-15) + 1e-9
     assert ceil >= fraction * n * (1 - 1e-15) - 1e-9
+
+
+@given(st.lists(hundredths, min_size=1, max_size=20).map(tuple),
+       st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=300)
+def test_ceil_counts_match_oracle(fractions, n):
+    assert ceil_counts(fractions, n) == [
+        oracle.exact_ceil(fraction, n) for fraction in fractions]
+
+
+def test_ceil_counts_past_int64():
+    # The simplest rational whose nearest double is just below 0.2 has a
+    # numerator that, times 8,000, passes 2**63.
+    below = math.nextafter(0.2, 0)
+    assert rounding._resolve(below)[0] * 8000 >= 2**63
+    # Any reading of the double lies within 1e-16 below 1/5.
+    want = [oracle.exact_ceil(f, 8000) for f in (Fraction(below), 0.5, 1.0)]
+    assert ceil_counts((below, 0.5, 1.0), 8000) == want == [1600, 4000, 8000]
+
+
+def test_ceil_counts_resolves_a_tuple_once(monkeypatch):
+    grid = (0.05, 0.3, 1.0)
+    monkeypatch.setattr(rounding, "_RATIONALS", {})
+    assert ceil_counts(grid, 10) == [1, 3, 10]
+    assert rounding._RATIONALS[grid] == ((1, 20), (3, 10), (1, 1))
+
+    def refuse(fraction):
+        raise AssertionError(f"resolved {fraction!r} again")
+
+    monkeypatch.setattr(rounding, "_resolve", refuse)
+    assert ceil_counts(grid, 10) == [1, 3, 10]
+    assert ceil_counts(grid, 21) == [2, 7, 21]
+
+
+def test_ceil_counts_clears_the_memo_at_4096_keys(monkeypatch):
+    monkeypatch.setattr(rounding, "_RATIONALS",
+                        {k: (k, 1) for k in range(4096)})
+    assert ceil_counts((0.3, 0.7), 10) == [3, 7]
+    assert rounding._RATIONALS == {0.3: (3, 10), 0.7: (7, 10),
+                                   (0.3, 0.7): ((3, 10), (7, 10))}

@@ -577,10 +577,13 @@ def test_conservation_property(records):
 
 @given(records_strategy)
 @settings(max_examples=100)
-def test_target_first_ascends_property(records):
-    # The costing of all titles at once searches it as one sorted array.
-    first = build_indexes(records)._planning["target_first"]
-    assert (np.diff(first) > 0).all()
+def test_ranked_targets_count_entries_property(records):
+    # Each ranked position reaches at most one new target cell, and the
+    # count runs from 0 to every entry.
+    a = build_indexes(records)._planning
+    targets = a["ranked_targets"]
+    assert targets[0] == 0 and targets[-1] == len(a["target_cells"])
+    assert set(np.diff(targets).tolist()) <= {0, 1}
 
 
 def refuse_parse(*args):
@@ -722,10 +725,11 @@ class TestLoadTrace:
         "code_too_large", "negative_code", "int64_codes", "short_column",
         "object_ids", "unicode_ids", "timestamps_too_short",
         "timestamps_dropped", "codes_dropped", "non_ascii_ids",
-        "table_dropped", "counts_dropped", "short_table", "int32_first",
+        "table_dropped", "counts_dropped", "short_table", "int32_covered",
         "user_out_of_range", "cell_out_of_range", "negative_popularity",
         "bounds_not_monotone", "bounds_repeat", "bounds_from_one",
-        "bounds_past_end", "target_first_unsorted", "cell_counts_dropped",
+        "bounds_past_end", "targets_skip", "targets_descend",
+        "targets_from_one", "targets_wrong_end", "cell_counts_dropped",
     ])
     def test_bad_sidecar_is_a_miss_and_rewritten(self, tmp_path, damage):
         records = make_random_records(seeded_rng(35), with_timestamps=True)
@@ -738,12 +742,17 @@ class TestLoadTrace:
             stored = {name: npz[name] for name in npz.files}
         ids0, codes0 = stored["ids0"], stored["codes0"]
         key = str(stored["key"])
-        user_cells, ranked_users, target_bounds = (
+        user_cells, ranked_users, ranked_bounds, targets = (
             stored[name].copy() for name in
-            ("user_cell_bounds", "ranked_users", "target_bounds"))
+            ("user_cell_bounds", "ranked_users", "ranked_bounds",
+             "ranked_targets"))
         # Enough users and titles for every damage below to be built.
-        assert len(user_cells) > 3 and len(target_bounds) > 3
+        assert len(user_cells) > 3 and len(ranked_bounds) > 3
         assert user_cells[1] > 1
+        # Where two steps of the target count are both 1, and both 0.
+        steps = np.diff(targets).tolist()
+        pairs = list(zip(steps, steps[1:]))
+        rise, flat = pairs.index((1, 1)), pairs.index((0, 0))
         if damage == "truncated":
             sidecar.write_bytes(good[:len(good) // 2])
         elif damage == "garbage":
@@ -782,14 +791,14 @@ class TestLoadTrace:
         elif damage == "non_ascii_ids":
             self.rewrite(sidecar, ids0=np.char.add(ids0, b"\xff"))
         elif damage == "table_dropped":
-            self.rewrite(sidecar, drop=("target_first",))
+            self.rewrite(sidecar, drop=("ranked_targets",))
         elif damage == "counts_dropped":
             self.rewrite(sidecar, drop=("user_counts",))
         elif damage == "short_table":
             self.rewrite(sidecar, ranked_users=ranked_users[:-1])
-        elif damage == "int32_first":
-            self.rewrite(sidecar, target_first=stored["target_first"].astype(
-                np.int32))
+        elif damage == "int32_covered":
+            self.rewrite(sidecar, ranked_covered=stored[
+                "ranked_covered"].astype(np.int32))
         elif damage == "user_out_of_range":
             ranked_users[-1] = len(ids0)
             self.rewrite(sidecar, ranked_users=ranked_users)
@@ -800,8 +809,8 @@ class TestLoadTrace:
         elif damage == "negative_popularity":
             self.rewrite(sidecar, popularity=stored["popularity"] - 1)
         elif damage == "bounds_not_monotone":
-            target_bounds[[1, 2]] = target_bounds[[2, 1]]
-            self.rewrite(sidecar, target_bounds=target_bounds)
+            ranked_bounds[[1, 2]] = ranked_bounds[[2, 1]]
+            self.rewrite(sidecar, ranked_bounds=ranked_bounds)
         elif damage == "bounds_repeat":
             # The last user has no cell: a geo profile would index past
             # the end.
@@ -811,13 +820,27 @@ class TestLoadTrace:
             user_cells[0] = 1
             self.rewrite(sidecar, user_cell_bounds=user_cells)
         elif damage == "bounds_past_end":
-            target_bounds[-1] += 1
-            self.rewrite(sidecar, target_bounds=target_bounds)
-        elif damage == "target_first_unsorted":
-            # Every entry in range, but the last one first.
-            first = stored["target_first"].copy()
-            first[[0, -1]] = first[[-1, 0]]
-            self.rewrite(sidecar, target_first=first)
+            ranked_bounds[-1] += 1
+            self.rewrite(sidecar, ranked_bounds=ranked_bounds)
+        elif damage == "targets_skip":
+            # Steps 0 and 2 for 1 and 1: every count in range, both ends
+            # kept.
+            targets[rise + 1] -= 1
+            self.rewrite(sidecar, ranked_targets=targets)
+        elif damage == "targets_descend":
+            # Steps 1 and -1 for 0 and 0, as above.
+            targets[flat + 1] += 1
+            self.rewrite(sidecar, ranked_targets=targets)
+        elif damage == "targets_from_one":
+            # The first ranked position always reaches an entry.
+            assert targets[1] == 1
+            targets[0] = 1
+            self.rewrite(sidecar, ranked_targets=targets)
+        elif damage == "targets_wrong_end":
+            # The last step turned to the other valid one: only the end
+            # moves.
+            targets[-1] += 1 if steps[-1] == 0 else -1
+            self.rewrite(sidecar, ranked_targets=targets)
         elif damage == "cell_counts_dropped":
             self.rewrite(sidecar, drop=("cell_counts",))
         assert sidecar.read_bytes() != good
