@@ -11,7 +11,7 @@ import errno
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, fields
 from itertools import count, repeat
 from operator import add, sub
@@ -201,9 +201,11 @@ def _handle_gen(args):
 def _replacing(paths):
     """Temporary names next to ``paths``, in a directory made if missing,
     to write the files under.  Each is renamed into place once the block
-    ends; if it fails, they and the directories made are removed, so a
-    failed write leaves no output.  A path that is a directory is refused
-    before anything is made."""
+    ends.  On a failure the temporary files are removed, and so are the
+    directories made unless a file was renamed into one: a failed write
+    leaves no output, and a failed rename the files renamed before it.
+    The error raised is the one that stopped the block or the renames.  A
+    path that is a directory is refused before anything is made."""
     for path in paths:
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
@@ -221,7 +223,8 @@ def _replacing(paths):
         for temp in temps:
             temp.unlink(missing_ok=True)
         for directory in made:  # the deepest first
-            directory.rmdir()
+            with suppress(OSError):
+                directory.rmdir()
         raise
 
 
@@ -324,9 +327,6 @@ def _select_sweep_titles(dataset, titles_arg):
                 )
             chosen.append(ordered[rank - 1])
         return chosen
-    for tok in tokens:
-        if tok not in dataset.title_visits:
-            raise UnknownIdError("title", tok)
     return tokens
 
 
@@ -334,7 +334,7 @@ def _handle_sweep(args):
     dataset = load_trace(args.input)
     sweeps = [
         sweep_coverage(dataset, title, args.coverage_grid)
-        for title in _select_sweep_titles(dataset, args.titles)
+        for title in dict.fromkeys(_select_sweep_titles(dataset, args.titles))
     ]
     tables = [(f"sweep_{s.title_id}", ("coverage", "total_transmissions"),
                list(zip(s.grid, s.costs))) for s in sweeps]

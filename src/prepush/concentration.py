@@ -15,8 +15,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import EmptyTraceError, UnknownIdError
+from .errors import EmptyTraceError
 from .rounding import floor_count
+from .trace import _IdMap
 
 CURVE_KINDS = ("user", "title", "cell")
 
@@ -63,7 +64,8 @@ class GeoProfile:
 def cell_visit_counts(dataset):
     """Total visit count per cell, keys in order of first appearance."""
     arrays = dataset._arrays
-    return dict(zip(arrays["ids2"].tolist(), arrays["cell_counts"].tolist()))
+    return _IdMap("cell", zip(arrays["ids2"].tolist(),
+                              arrays["cell_counts"].tolist()))
 
 
 def concentration_curve(dataset, kind):
@@ -121,10 +123,7 @@ def user_cell_shares(dataset, user):
     Returns a list of ``(cell_id, share)`` sorted by descending visit
     count (ties by ascending cell id); shares sum to 1.
     """
-    try:
-        cells = dataset.user_cell_visits[user]
-    except KeyError:
-        raise UnknownIdError("user", user) from None
+    cells = dataset.user_cell_visits[user]
     total = dataset.user_visits[user]
     ordered = sorted(cells.items(), key=lambda kv: (-kv[1], kv[0]))
     return [(cell, count / total) for cell, count in ordered]

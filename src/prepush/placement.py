@@ -18,8 +18,6 @@ slice and targeting is two array reads (``TraceDataset._targeting``).
 
 from dataclasses import dataclass
 
-from .errors import UnknownIdError
-
 
 @dataclass(frozen=True)
 class CellPartition:
@@ -42,10 +40,7 @@ def _checked_coverage(coverage):
 
 def most_active_cell(dataset, user):
     """The user's cell with the most visits (ties by ascending cell id)."""
-    try:
-        return dataset.user_top_cell[user]
-    except KeyError:
-        raise UnknownIdError("user", user) from None
+    return dataset.user_top_cell[user]
 
 
 def rank_title_visitors(dataset, title):
@@ -89,10 +84,7 @@ def partition_cells(dataset, title, estimated):
     not cover (a visit in any estimated cell is satisfied by the
     broadcast, regardless of which target user brought that cell in).
     """
-    try:
-        cell_counts = dataset.title_cell_visits[title]
-    except KeyError:
-        raise UnknownIdError("title", title) from None
+    cell_counts = dataset.title_cell_visits[title]
     estimated = frozenset(estimated)
     actual = frozenset(cell_counts)
     hit = estimated & actual

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, lt, sub
 
-from .errors import UnknownIdError
 from .placement import _checked_coverage, partition_cells
 from .rounding import ceil_count
 
@@ -73,10 +72,7 @@ class CoverageSweep:
 
 def unicast_cost(dataset, title):
     """Baseline transmissions for one title: one per visit."""
-    try:
-        return dataset.title_visits[title]
-    except KeyError:
-        raise UnknownIdError("title", title) from None
+    return dataset.title_visits[title]
 
 
 def _breakdown(title, case, coverage, broadcast, missed):

@@ -10,7 +10,9 @@ cost targeting any prefix of it.  These are named arrays, the dataset's
 only state, declared once in :data:`_SIDECAR`.  One private builder derives
 every index with numpy over the code columns; :func:`parse_trace`,
 :func:`build_indexes` and ``synth.generate`` all feed it, and every map of
-identifiers is built from the arrays on first use.  Datasets are immutable
+identifiers is built from the arrays on first use and raises
+:class:`UnknownIdError` for an identifier the trace does not hold, as do
+the one-title and one-user queries that read one.  Datasets are immutable
 after construction and safe to share across threads; all analysis
 functions in this package are pure reads over them.  :func:`load_trace`
 parses a file once and builds its planning tables, then keeps the arrays
@@ -39,7 +41,8 @@ import os
 import re
 import tempfile
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 
@@ -128,16 +131,20 @@ class VisitRecord:
         return None
 
 
-def _kept(build):
-    """A property built on first use and then kept in the ``_views`` slot."""
-    def get(self, name=build.__name__):
-        if name not in self._views:
-            self._views.setdefault(name, build(self))
-        return self._views[name]
-    return property(get, doc=build.__doc__)
+class _IdMap(dict):
+    """A dict keyed by the identifiers of one ``kind`` (user, title or
+    cell): a missing key raises :class:`UnknownIdError` naming it."""
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind, items):
+        super().__init__(items)
+        self.kind = kind
+
+    def __missing__(self, key):
+        raise UnknownIdError(self.kind, key)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class TraceDataset:
     """Immutable visit columns plus derived per-entity indexes: the arrays
     named in :data:`_SIDECAR`, and nothing else but views of them.
@@ -150,12 +157,18 @@ class TraceDataset:
     datasets' records that way.
 
     Every map of identifiers, the visit counts too, is a view built from
-    the arrays on first use and kept in ``_views``; their keys, and those
-    of the per-title and per-user cell maps, follow first appearance in
-    the trace.  So is ``records``, a read-only tuple of
+    the arrays on first use and cached (:func:`functools.cached_property`);
+    their keys, and those of the per-title and per-user cell maps, follow
+    first appearance in the trace.  So is ``records``, a read-only tuple of
     :class:`VisitRecord`.  ``user_top_cell`` maps each user to their most
     visited cell (ties by ascending cell id) and ``user_rank`` to their
     0-based position in descending activity order (ties by ascending id).
+    A map keyed by identifiers raises :class:`UnknownIdError`, a
+    ``KeyError`` naming the kind, for an identifier not in the trace;
+    ``.get`` and ``in`` work as on any dict.  The inner ``{cell: visits}``
+    maps are plain dicts.  Python 3.11 locks a view's first build; from
+    3.12 on, two threads that read an unbuilt view at once may each build
+    it, and either keeps an equal value.
 
     Placement and planning read two private indexes of integer arrays instead
     of sets of identifiers.  The *ranked index* holds each title's distinct
@@ -171,10 +184,10 @@ class TraceDataset:
     each title to the frozenset of its visitors.
     """
 
-    #: The arrays, named as in :data:`_SIDECAR` with the vocabularies as
-    #: object arrays; ``_planning`` adds its tables.
-    _arrays: dict
-    _views: dict = field(default_factory=dict, init=False)
+    def __init__(self, arrays):
+        #: The arrays, named as in :data:`_SIDECAR` with the vocabularies
+        #: as object arrays; ``_planning`` adds its tables.
+        self._arrays = arrays
 
     def __repr__(self):
         return f"TraceDataset(total_visits={self.total_visits})"
@@ -191,19 +204,19 @@ class TraceDataset:
     def n_users(self):
         return len(self._arrays["ids0"])
 
-    @_kept
+    @cached_property
     def title_visits(self):
         """Each title's visit count."""
-        return dict(zip(self._arrays["ids1"].tolist(),
-                        self._arrays["title_counts"].tolist()))
+        return _IdMap("title", zip(self._arrays["ids1"].tolist(),
+                                   self._arrays["title_counts"].tolist()))
 
-    @_kept
+    @cached_property
     def user_visits(self):
         """Each user's visit count."""
-        return dict(zip(self._arrays["ids0"].tolist(),
-                        self._arrays["user_counts"].tolist()))
+        return _IdMap("user", zip(self._arrays["ids0"].tolist(),
+                                  self._arrays["user_counts"].tolist()))
 
-    @_kept
+    @cached_property
     def records(self):
         """The visits in trace order, as a tuple of :class:`VisitRecord`."""
         a = self._arrays
@@ -215,37 +228,39 @@ class TraceDataset:
             fields.append(given.tolist())
         return tuple(map(VisitRecord, *fields))
 
-    @_kept
+    @cached_property
     def title_users(self):
         """Each title's distinct visitors, as a frozenset of user ids."""
         a = self._planning
         bounds = a["ranked_bounds"].tolist()
         names = a["ids0"][a["ranked_users"]].tolist()
-        return {title: frozenset(names[start:stop]) for title, start, stop in
-                zip(a["ids1"].tolist(), bounds, bounds[1:])}
+        return _IdMap("title", (
+            (title, frozenset(names[start:stop])) for title, start, stop in
+            zip(a["ids1"].tolist(), bounds, bounds[1:])))
 
-    @_kept
+    @cached_property
     def title_cell_visits(self):
         """Each title's visits per cell, as ``{cell: visits}``."""
         return self._cell_maps(1)
 
-    @_kept
+    @cached_property
     def user_cell_visits(self):
         """Each user's visits per cell, as ``{cell: visits}``."""
         return self._cell_maps(0)
 
-    @_kept
+    @cached_property
     def user_top_cell(self):
         """Each user's most visited cell (ties by ascending cell id)."""
         a = self._arrays
         top = a["ids2"][a["user_cells"][a["user_cell_bounds"][:-1]]]
-        return dict(zip(a["ids0"].tolist(), top.tolist()))
+        return _IdMap("user", zip(a["ids0"].tolist(), top.tolist()))
 
-    @_kept
+    @cached_property
     def user_rank(self):
         """Each user's 0-based position in descending activity order."""
         a = self._arrays
-        return dict(zip(a["ids0"].tolist(), a["user_ranks"].tolist()))
+        return _IdMap("user", zip(a["ids0"].tolist(),
+                                  a["user_ranks"].tolist()))
 
     def _cell_maps(self, kind):
         """``{id: {cell: visits}}`` over the users (``kind`` 0) or the
@@ -259,10 +274,11 @@ class TraceDataset:
         bounds = _bounds(groups, len(ids)).tolist()
         cells = cell_ids[(keys % len(cell_ids))[order]].tolist()
         counts = counts[order].tolist()
-        return {key: dict(zip(cells[start:stop], counts[start:stop]))
-                for key, start, stop in zip(ids.tolist(), bounds, bounds[1:])}
+        return _IdMap(("user", "title")[kind], (
+            (key, dict(zip(cells[start:stop], counts[start:stop])))
+            for key, start, stop in zip(ids.tolist(), bounds, bounds[1:])))
 
-    @_kept
+    @cached_property
     def _planning(self):
         """The arrays, with the tables added unless :func:`load_trace`
         restored them: the ranked index ``ranked_{bounds,users}``, the
@@ -316,23 +332,20 @@ class TraceDataset:
             "title_cells": title_cells})
         return a
 
-    @_kept
+    @cached_property
     def _title_index(self):
         """The one-title queries' tables, read a Python object at a time:
         each title id's code, by code its ranked bounds and visits, the cell
         ids, and memoryviews of ``ranked_{targets,covered}, target_cells``."""
         a = self._planning
-        return (dict(zip(a["ids1"].tolist(), range(len(a["ids1"])))),
+        return (_IdMap("title", zip(a["ids1"].tolist(), itertools.count())),
                 a["ranked_bounds"].tolist(), a["title_counts"].tolist(),
                 a["ids2"].tolist(), *map(memoryview, (
                     a["ranked_targets"], a["ranked_covered"],
                     a["target_cells"])))
 
     def _title_code(self, title):
-        try:
-            return self._title_index[0][title]
-        except KeyError:
-            raise UnknownIdError("title", title) from None
+        return self._title_index[0][title]
 
     def _ranked_visitors(self, title):
         """The title's distinct visitors, most active first."""
@@ -354,10 +367,7 @@ class TraceDataset:
         with one entry per coverage for a tuple.
         """
         codes, ranked, visits, _, targets, covered, _ = self._title_index
-        try:  # not by _title_code: one property read a call
-            code = codes[title]
-        except KeyError:
-            raise UnknownIdError("title", title) from None
+        code = codes[title]
         start, stop = ranked[code:code + 2]
         top, offset = targets[start], visits[code] + covered[start]
         if isinstance(coverage, tuple):

@@ -1,8 +1,12 @@
+import errno
 import json
 import os
+import shutil
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -396,6 +400,32 @@ class TestSweep:
                     "--titles", "99999"])
         assert code == 1
 
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["new_dir", "existing_dir"])
+    def test_repeated_title_is_swept_once(self, tmp_path, capsys, existing):
+        # Two tables of one title would share one file and its temporary
+        # name.
+        trace = gen_trace(tmp_path, n_visits=2000)
+        first, second = titles_by_popularity(parse_trace(trace))[:2]
+        once = tmp_path / "once"
+        assert run(["sweep", "--input", str(trace), "--output", str(once),
+                    "--titles", "1,2"]) == 0
+        want = {p.name: p.read_bytes() for p in once.iterdir()}
+        for titles in ("1,2,1,2", f"{first},{second},{first}"):
+            outdir = tmp_path / "twice" / titles
+            if existing:
+                outdir.mkdir(parents=True)
+                for name in want:
+                    (outdir / name).write_text("stale\n", encoding="utf-8")
+            capsys.readouterr()
+            assert run(["sweep", "--input", str(trace), "--output",
+                        str(outdir), "--titles", titles]) == 0
+            assert capsys.readouterr().out.splitlines() == [
+                f"wrote {outdir / f'{stem}.csv'}"
+                for stem in (f"sweep_{first}", f"sweep_{second}",
+                             "sweep_optima")]
+            assert {p.name: p.read_bytes() for p in outdir.iterdir()} == want
+
     def test_default_ranks_filtered_to_available(self, tmp_path, capsys):
         trace = gen_trace(tmp_path)  # 30 titles: ranks 100/1000 unavailable
         outdir = tmp_path / "sweep"
@@ -503,7 +533,7 @@ def refuse_views(monkeypatch, builder=None):
         if ("title_cells" not in self._arrays and sys._getframe(1).f_code
                 is not getattr(builder, "__code__", None)):
             raise AssertionError("a command built the planning tables")
-        return built.fget(self)
+        return built.func(self)
 
     for view in VIEWS:
         monkeypatch.setattr(TraceDataset, view, property(refuse))
@@ -617,6 +647,28 @@ class TestWriteTables:
             ".other.csv.prepush.npz", ".trace.csv.prepush.npz", "other.csv",
             "stats", "trace.csv"]
 
+    def test_failed_rename_reports_its_own_error(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # The first table is renamed into the directory the command made,
+        # so that directory stays, and the error shown is the rename's.
+        def fail_second(src, dst):
+            renamed.append(dst)
+            if len(renamed) == 2:
+                raise OSError(28, "No space left on device")
+            return replace(src, dst)
+
+        path = gen_trace(tmp_path)
+        trace.load_trace(path)  # the sidecar, renamed before the tables
+        replace, renamed = os.replace, []
+        monkeypatch.setattr(os, "replace", fail_second)
+        outdir = tmp_path / "new" / "deeper"
+        capsys.readouterr()
+        assert run(["stats", "--input", str(path),
+                    "--output", str(outdir)]) == 1
+        assert capsys.readouterr() == (
+            "", "prepush: error: [Errno 28] No space left on device\n")
+        assert [p.name for p in outdir.iterdir()] == ["user_curve.csv"]
+
 
 class TestSidecar:
     COMMANDS = (
@@ -674,3 +726,132 @@ class TestSidecar:
                     "--output", str(tmp_path / "stats")]) == 1
         assert "line 2: empty cell_id field" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+
+
+#: The name :class:`Faults` records for the trace's sidecar and its
+#: temporary file.
+SIDECAR = "<sidecar>"
+
+
+class Faults:
+    """Counts one run's ``open`` calls in :mod:`prepush.cli` and
+    :mod:`prepush.trace`, the writes to the files they open and its
+    ``os.replace`` calls, and fails the call numbered ``fail`` (from 0)
+    with an ``OSError``.
+
+    A write is counted on the raw file beneath any buffer, where the
+    operating system reports a full disk.  A failing ``open`` closes what
+    it opened before it raises, so that a descriptor handed to it is not
+    leaked and a file it created is left for the command to remove.  Each
+    call is recorded with its file: the path, or :data:`SIDECAR` for the
+    sidecar and its temporary file, the one file opened by descriptor.
+    """
+
+    def __init__(self, patch, fail=None):
+        self.calls, self.fail = [], fail
+        replace = os.replace
+
+        def hooked_open(file, *args, **kwargs):
+            handle = open(file, *args, **kwargs)
+            raw = getattr(getattr(handle, "buffer", handle), "raw", handle)
+            write = raw.write
+
+            def hooked_write(data):
+                self.call("write", file)
+                return write(data)
+
+            raw.write = hooked_write
+            try:
+                self.call("open", file)
+            except OSError:
+                handle.close()
+                raise
+            return handle
+
+        def hooked_replace(src, dst):
+            self.call("replace", dst)
+            return replace(src, dst)
+
+        for module in (cli, trace):
+            patch.setattr(module, "open", hooked_open, raising=False)
+        patch.setattr(os, "replace", hooked_replace)
+
+    def call(self, kind, file):
+        if isinstance(file, int) or ".prepush.npz" in os.fspath(file):
+            file = SIDECAR
+        self.calls.append((kind, os.fspath(file)))
+        if len(self.calls) - 1 == self.fail:
+            raise OSError(errno.EIO, "injected fault")
+
+
+#: gen, then every analysis command in each format, after a sidecar miss
+#: and on a hit.
+FAULT_RUNS = [(["gen", "--n-users", "60", "--n-titles", "30",
+                "--n-cells", "25", "--n-visits", "1000"], None)] + [
+    ([*argv, "--format", fmt], state)
+    for argv in (["stats"], ["plan", "--mode", "perfect"],
+                 ["plan", "--mode", "assumed"], ["plan", "--mode", "limited"],
+                 ["sweep", "--titles", "2,1"])
+    for fmt in ("csv", "json") for state in ("miss", "hit")]
+
+
+@pytest.mark.parametrize("argv, state", FAULT_RUNS, ids=[
+    "-".join(arg for arg in (*argv[::2], state) if arg and arg[0].isalpha())
+    for argv, state in FAULT_RUNS])
+def test_every_fault_fails_cleanly(tmp_path, monkeypatch, capsys, argv,
+                                   state):
+    """Each open, write and rename of a clean run fails in turn, into a
+    new and into an existing output directory.  A fault in the sidecar
+    costs only the time it saves.  Any other fails the command with the
+    fault's error and no traceback, and changes no output but the files
+    renamed before it; no run leaves a temporary file, or a sidecar that
+    loads to another dataset."""
+    def refuse_parse(*args):
+        raise AssertionError("parsed a trace its sidecar holds")
+
+    def attempt(fail, stale):
+        shutil.rmtree(made, ignore_errors=True)
+        for file in stale:
+            file.parent.mkdir(parents=True, exist_ok=True)
+            file.write_bytes(b"stale\n")
+        if state == "miss":
+            sidecar.unlink(missing_ok=True)
+        elif state == "hit":
+            sidecar.write_bytes(stored)
+        with monkeypatch.context() as patch:
+            faults = Faults(patch, fail)
+            code = run(argv)
+        files = {p: p.read_bytes() for p in made.rglob("*") if p.is_file()}
+        return code, capsys.readouterr(), faults.calls, files
+
+    path, made = gen_trace(tmp_path), tmp_path / "made"
+    parsed, sidecar = parse_trace(path), sidecar_of(path)
+    trace.load_trace(path)
+    stored = sidecar.read_bytes()
+    capsys.readouterr()
+    if argv[0] == "gen":
+        argv = [*argv, "--output", str(made / "out" / "t.csv")]
+    else:
+        argv = [*argv, "--input", str(path), "--output", str(made / "out")]
+    code, clean, calls, files = attempt(None, ())
+    assert (code, clean.err) == (0, "")
+    for fail, (_, file) in enumerate(calls):
+        # A fault in the sidecar leaves a clean run's outputs, which one
+        # output directory shows.
+        for stale in [()] if file == SIDECAR else [(), list(files)]:
+            code, printed, seen, got = attempt(fail, stale)
+            # Up to the fault, the run made the clean run's calls.
+            assert seen[:fail + 1] == calls[:fail + 1]
+            assert not list(tmp_path.rglob("*.tmp"))
+            if sidecar.exists():
+                with mock.patch.object(trace, "_parse", refuse_parse):
+                    assert trace.load_trace(path) == parsed
+            if file == SIDECAR:
+                assert (code, printed, got) == (0, clean, files)
+                continue
+            assert (code, printed) == (
+                1, ("", "prepush: error: [Errno 5] injected fault\n"))
+            renamed = {Path(file) for kind, file in calls[:fail]
+                       if kind == "replace" and file != SIDECAR}
+            assert got == {**dict.fromkeys(stale, b"stale\n"),
+                           **{file: files[file] for file in renamed}}

@@ -69,6 +69,28 @@ class TestUnicast:
         assert bd.total_transmissions == 4
 
 
+@pytest.mark.parametrize("query", [
+    lambda ds, title: coverage_cost(ds, title, 0.5),
+    lambda ds, title: coverage_cost(ds, title, 1.0),
+    sweep_coverage,
+    *(lambda ds, title, case=case: plan_title(ds, title, case, 0.5)
+      for case in (CASE_UNICAST, *TRAFFIC_MODES)),
+    perfect_cost,
+    unicast_breakdown,
+], ids=["coverage_cost", "coverage_cost_1", "sweep_coverage",
+        *(f"plan_title_{case}" for case in (CASE_UNICAST, *TRAFFIC_MODES)),
+        "perfect_cost", "unicast_breakdown"])
+def test_unknown_title_in_every_query(tmp_path, query):
+    built = one_title_dataset()
+    path = tmp_path / "trace.csv"
+    write_trace(built, path)
+    trace.load_trace(path)
+    for dataset in (built, trace.load_trace(path)):  # a sidecar hit
+        with pytest.raises(UnknownIdError) as exc:
+            query(dataset, "t9")
+        assert (exc.value.kind, exc.value.identifier) == ("title", "t9")
+
+
 class TestPerfectCost:
     def test_counts_distinct_cells(self):
         bd = perfect_cost(one_title_dataset(), "t1")

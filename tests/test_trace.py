@@ -1,6 +1,7 @@
+import copy
 import hashlib
 import os
-from dataclasses import fields
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -14,10 +15,11 @@ from prepush import (
     EmptyTraceError,
     RecordValidationError,
     SynthParams,
-    TraceDataset,
     TraceFormatError,
+    UnknownIdError,
     VisitRecord,
     build_indexes,
+    cell_visit_counts,
     generate,
     parse_trace,
     titles_by_popularity,
@@ -615,14 +617,53 @@ def assert_same_fields(got, want):
 
 
 def test_a_dataset_is_its_arrays(tmp_path):
-    assert [f.name for f in fields(TraceDataset)] == ["_arrays", "_views"]
     path = write_text(tmp_path, HEADER + "u1,t1,c1,5\nu2,t1,c2,\n")
     miss = trace.load_trace(path)
     with mock.patch.object(trace, "_parse", refuse_parse):
         hit = trace.load_trace(path)
+    # Beside the arrays, an instance holds only the views read so far: the
+    # sidecar write read the planning tables, which are the arrays.
+    assert vars(hit).keys() == {"_arrays"}
+    assert vars(miss).keys() == {"_arrays", "_planning"}
+    assert miss._planning is miss._arrays
     assert list(hit._arrays) == list(miss._arrays) == [
         name for name, *_ in trace._SIDECAR]
     assert repr(hit) == repr(miss) == "TraceDataset(total_visits=2)"
+
+
+#: Each map of identifiers a dataset holds, by the kind of its keys.
+ID_MAPS = {"title_visits": "title", "user_visits": "user",
+           "title_users": "title", "title_cell_visits": "title",
+           "user_cell_visits": "user", "user_top_cell": "user",
+           "user_rank": "user"}
+
+
+@pytest.mark.parametrize("state", ["built", "hit"])
+def test_id_maps_report_unknown_ids(tmp_path, state):
+    path = write_text(tmp_path, HEADER + "u1,t1,c1,5\nu2,t1,c2,\n")
+    dataset = parse_trace(path)
+    if state == "hit":
+        trace.load_trace(path)
+        with mock.patch.object(trace, "_parse", refuse_parse):
+            dataset = trace.load_trace(path)
+    maps = [(getattr(dataset, name), kind) for name, kind in ID_MAPS.items()]
+    maps += [(dataset._title_index[0], "title"),
+             (cell_visit_counts(dataset), "cell")]
+    for ids, kind in maps:
+        with pytest.raises(UnknownIdError) as exc:
+            ids["x9"]
+        assert isinstance(exc.value, KeyError)
+        assert (exc.value.kind, exc.value.identifier) == (kind, "x9")
+        assert (ids.get("x9"), ids.get("x9", 0), "x9" in ids) == (None, 0,
+                                                                  False)
+        known = next(iter(ids))
+        assert known in ids and ids.get(known) == ids[known]
+        for copied in (copy.copy(ids), copy.deepcopy(ids),
+                       pickle.loads(pickle.dumps(ids))):
+            assert (type(copied), copied.kind, copied) == (type(ids), kind,
+                                                           ids)
+    assert dataset.title_visits == {"t1": 2}
+    assert cell_visit_counts(dataset) == {"c1": 1, "c2": 1}
 
 
 class TestLoadTrace:
