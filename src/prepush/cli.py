@@ -47,7 +47,7 @@ DEFAULT_RATIO_GRID = tuple(round(0.05 * k, 2) for k in range(0, 21))
 DEFAULT_SWEEP_RANKS = (1, 10, 100, 1000)
 
 # Columns of breakdowns.csv, named as the CostBreakdown fields they hold.
-_BREAKDOWN_COLUMNS = tuple(f.name for f in fields(CostBreakdown))
+_BREAKDOWN_COLUMNS = CostBreakdown._fields
 
 
 def _float_list(text):

@@ -16,11 +16,10 @@ order they are first reached (the first-target table).  So ranking is a
 slice and targeting is two array reads (``TraceDataset._targeting``).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CellPartition:
+class CellPartition(NamedTuple):
     """Estimated-vs-actual cell sets for one title's broadcast plan."""
 
     estimated: frozenset

@@ -21,13 +21,13 @@ a prefix of the title's visitors ranked by activity (none, all, or the
 most active fraction), and each prefix is costed by reading the
 dataset's prefix columns at its two ends.  The traffic curve and the
 CLI's rows cost all titles in one pass, reading every title's at once.
-Only :func:`plan_title` builds the cell sets of a
-:class:`~prepush.placement.CellPartition`.
+Only :func:`plan_title` and :func:`broadcast_cost` build the cell sets of
+a :class:`~prepush.placement.CellPartition`.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, lt, sub
+from typing import NamedTuple
 
 from .placement import _checked_coverage, partition_cells
 from .rounding import ceil_count
@@ -46,8 +46,7 @@ DEFAULT_COVERAGE_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))
 DEFAULT_LIMITED_COVERAGE = 0.2
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(NamedTuple):
     """Per-title transmission accounting for one planning regime."""
 
     title_id: str
@@ -58,8 +57,7 @@ class CostBreakdown:
     total_transmissions: int
 
 
-@dataclass(frozen=True)
-class CoverageSweep:
+class CoverageSweep(NamedTuple):
     """Total cost of one title as a function of oracle coverage."""
 
     title_id: str
@@ -73,17 +71,6 @@ class CoverageSweep:
 def unicast_cost(dataset, title):
     """Baseline transmissions for one title: one per visit."""
     return dataset.title_visits[title]
-
-
-def _breakdown(title, case, coverage, broadcast, missed):
-    return CostBreakdown(
-        title_id=title,
-        case=case,
-        coverage=coverage,
-        broadcast_transmissions=broadcast,
-        missed_visits=missed,
-        total_transmissions=broadcast + missed,
-    )
 
 
 def _case_coverage(case, coverage):
@@ -105,9 +92,10 @@ def _cost(dataset, title, case, coverage):
     if case == CASE_PERFECT:
         code = dataset._title_code(title)
         n_cells = int(dataset._planning["title_cells"][code])
-        return _breakdown(title, case, coverage, n_cells, 0)
+        return CostBreakdown(title, case, coverage, n_cells, 0, n_cells)
     broadcast, missed = dataset._targeting(title, coverage)
-    return _breakdown(title, case, coverage, broadcast, missed)
+    return CostBreakdown(title, case, coverage, broadcast, missed,
+                         broadcast + missed)
 
 
 def _title_costs(dataset, case, coverage, n=None):
@@ -170,8 +158,9 @@ def broadcast_cost(dataset, title, target_cells, case=CASE_ASSUMED_LOCATION,
                    coverage=1.0):
     """Cost of broadcasting one title into an arbitrary cell set."""
     partition = partition_cells(dataset, title, target_cells)
-    return _breakdown(title, case, coverage, len(partition.estimated),
-                      partition.missed_visits)
+    broadcast, missed = len(partition.estimated), partition.missed_visits
+    return CostBreakdown(title, case, coverage, broadcast, missed,
+                         broadcast + missed)
 
 
 def coverage_cost(dataset, title, coverage):
@@ -205,7 +194,8 @@ def sweep_coverage(dataset, title, grid=DEFAULT_COVERAGE_GRID):
     dataset : TraceDataset
     title : str
     grid : sequence of float
-        Strictly increasing coverage fractions in (0, 1].
+        Strictly increasing coverage fractions in (0, 1]; every grid but
+        :data:`DEFAULT_COVERAGE_GRID` itself is checked on every call.
 
     Returns
     -------
@@ -219,19 +209,14 @@ def sweep_coverage(dataset, title, grid=DEFAULT_COVERAGE_GRID):
     two reads of each of the dataset's prefix columns cost it, with no
     work per visitor.
     """
-    grid = tuple(grid)
-    _validate_fraction_grid(grid, "coverage grid", low_open=True)
+    if grid is not DEFAULT_COVERAGE_GRID:
+        grid = tuple(grid)
+        _validate_fraction_grid(grid, "coverage grid", low_open=True)
     broadcast, missed = dataset._targeting(title, grid)
     costs = tuple(map(add, broadcast, missed))
     best = costs.index(min(costs))
-    return CoverageSweep(
-        title_id=title,
-        grid=grid,
-        costs=costs,
-        unicast_baseline=dataset.title_visits[title],
-        optimal_coverage=grid[best],
-        optimal_cost=costs[best],
-    )
+    return CoverageSweep(title, grid, costs, dataset.title_visits[title],
+                         grid[best], costs[best])
 
 
 def titles_by_popularity(dataset):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 from fractions import Fraction
 from unittest import mock
 
@@ -34,7 +33,9 @@ from prepush import (
 )
 from prepush import rounding
 from prepush.cli import _plan_rows
-from prepush.planning import TRAFFIC_MODES, _title_costs
+from prepush import planning
+from prepush.planning import (
+    TRAFFIC_MODES, _title_costs, _validate_fraction_grid)
 from prepush.rounding import ceil_count
 
 
@@ -203,6 +204,25 @@ class TestCoverageCost:
                     )
 
 
+def test_results_are_plain_records():
+    ds = one_title_dataset()
+    bd = coverage_cost(ds, "t1", 0.5)
+    title, case, coverage, broadcast, missed, total = bd
+    assert (title, case, coverage, broadcast, missed, total) == (
+        bd.title_id, bd.case, bd.coverage, bd.broadcast_transmissions,
+        bd.missed_visits, bd.total_transmissions)
+    assert bd == ("t1", CASE_LIMITED_COVERAGE, 0.5, 1, 2, 3)
+
+    breakdown, partition = plan_title(ds, "t1", CASE_ASSUMED_LOCATION, 1.0)
+    assert breakdown == ("t1", CASE_ASSUMED_LOCATION, 1.0, 2, 1, 3)
+    estimated, actual, hit, missing, mistaken, missed_visits = partition
+    assert (estimated, actual, hit, missing, mistaken, missed_visits) == (
+        partition.estimated, partition.actual, partition.hit,
+        partition.missing, partition.mistaken, partition.missed_visits)
+    assert partition == (frozenset("AC"), frozenset("ABC"), frozenset("AC"),
+                         frozenset("B"), frozenset(), 1)
+
+
 class TestSweepCoverage:
     def test_sole_loyal_visitor_flat_cost(self):
         ds = build_indexes(
@@ -219,6 +239,16 @@ class TestSweepCoverage:
         sweep = sweep_coverage(ds, "t1")
         assert sweep.grid == DEFAULT_COVERAGE_GRID
         assert len(sweep.costs) == 20
+        # The default grid is valid, so a sweep over it skips the check;
+        # an equal grid that is another object is checked and agrees.
+        _validate_fraction_grid(DEFAULT_COVERAGE_GRID, "coverage grid",
+                                low_open=True)
+        with mock.patch.object(planning, "_validate_fraction_grid") as check:
+            assert sweep_coverage(ds, "t1") == sweep
+            check.assert_not_called()
+            grid = list(DEFAULT_COVERAGE_GRID)
+            assert sweep_coverage(ds, "t1", grid) == sweep
+            check.assert_called_once()
 
     @pytest.mark.parametrize(
         "grid", [(), (0.5, 0.5), (0.6, 0.3), (0.0, 0.5), (0.5, 1.2),
@@ -520,7 +550,7 @@ class TestFirstTargetTable:
             for title in ds.title_visits:
                 for coverage in (0.2, 0.5, 1.0):
                     bd = coverage_cost(ds, title, coverage)
-                    values = [getattr(bd, f.name) for f in fields(bd)]
+                    values = list(bd)
                     assert {type(v) for v in values} <= {int, float, str}
                 sweep = sweep_coverage(ds, title)
                 values = [sweep.title_id, *sweep.grid, *sweep.costs,
