@@ -7,11 +7,8 @@ CSV (or JSON mirroring the CSV columns); nothing is rendered here.
 
 import argparse
 import csv
-import errno
 import json
-import os
 import sys
-from contextlib import contextmanager, suppress
 from dataclasses import MISSING, fields
 from itertools import count, repeat
 from operator import add, sub
@@ -35,7 +32,7 @@ from .planning import (
     titles_by_popularity,
 )
 from .synth import SynthParams, generate
-from .trace import load_trace, write_trace
+from .trace import _replacing, load_trace, write_trace
 
 MODE_CASES = {
     "perfect": CASE_PERFECT,
@@ -43,7 +40,7 @@ MODE_CASES = {
     "limited": CASE_LIMITED_COVERAGE,
 }
 
-DEFAULT_RATIO_GRID = tuple(round(0.05 * k, 2) for k in range(0, 21))
+DEFAULT_RATIO_GRID = (0.0, *DEFAULT_COVERAGE_GRID)
 DEFAULT_SWEEP_RANKS = (1, 10, 100, 1000)
 
 # Columns of breakdowns.csv, named as the CostBreakdown fields they hold.
@@ -197,42 +194,14 @@ def _handle_gen(args):
     return 0
 
 
-@contextmanager
-def _replacing(paths):
-    """Temporary names next to ``paths``, in a directory made if missing,
-    to write the files under.  Each is renamed into place once the block
-    ends.  On a failure the temporary files are removed, and so are the
-    directories made unless a file was renamed into one: a failed write
-    leaves no output, and a failed rename the files renamed before it.
-    The error raised is the one that stopped the block or the renames.  A
-    path that is a directory is refused before anything is made."""
-    for path in paths:
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
-                                    str(path))
-    parent = paths[0].parent
-    made = [d for d in (parent, *parent.parents) if not d.exists()]
-    parent.mkdir(parents=True, exist_ok=True)
-    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp")
-             for path in paths]
-    try:
-        yield temps
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
-    except BaseException:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
-        for directory in made:  # the deepest first
-            with suppress(OSError):
-                directory.rmdir()
-        raise
-
-
 def _write_tables(args, tables):
     """Write each ``(stem, header, rows)`` table into the output directory,
     as CSV or as JSON rows mirroring the CSV columns, and name each file
     on stdout.  Commands compute every table first."""
     paths = [Path(args.output, f"{stem}.{args.format}") for stem, *_ in tables]
+    for path in paths:
+        if path.exists() and path.samefile(args.input):
+            raise ValueError(f"{path}: output would replace the input trace")
     with _replacing(paths) as temps:
         for temp, (_, header, rows) in zip(temps, tables):
             if args.format == "csv":
@@ -302,32 +271,25 @@ def _handle_plan(args):
 
 def _select_sweep_titles(dataset, titles_arg):
     ordered = titles_by_popularity(dataset)
-    if titles_arg is None:
-        chosen = []
-        for rank in DEFAULT_SWEEP_RANKS:
-            if rank <= len(ordered):
-                chosen.append(ordered[rank - 1])
-            else:
-                print(
-                    f"skipping default rank {rank}: trace has only "
-                    f"{len(ordered)} titles",
-                    file=sys.stderr,
-                )
-        return chosen
-    tokens = [tok.strip() for tok in titles_arg.split(",") if tok.strip()]
-    if not tokens:
-        raise ValueError("--titles must name at least one rank or title id")
-    if all(tok.isdigit() for tok in tokens):
-        chosen = []
-        for tok in tokens:
-            rank = int(tok)
-            if not 1 <= rank <= len(ordered):
-                raise ValueError(
-                    f"rank {rank} out of range (trace has {len(ordered)} titles)"
-                )
+    ranks = DEFAULT_SWEEP_RANKS
+    if titles_arg is not None:
+        tokens = [tok.strip() for tok in titles_arg.split(",") if tok.strip()]
+        if not tokens:
+            raise ValueError("--titles must name at least one rank or title id")
+        if not all(tok.isdigit() for tok in tokens):
+            return tokens
+        ranks = map(int, tokens)
+    chosen = []
+    for rank in ranks:
+        if 1 <= rank <= len(ordered):
             chosen.append(ordered[rank - 1])
-        return chosen
-    return tokens
+        elif titles_arg is None:
+            print(f"skipping default rank {rank}: trace has only "
+                  f"{len(ordered)} titles", file=sys.stderr)
+        else:
+            raise ValueError(f"rank {rank} out of range "
+                             f"(trace has {len(ordered)} titles)")
+    return chosen
 
 
 def _handle_sweep(args):

@@ -34,13 +34,15 @@ it is the only place a parse error is raised.
 """
 
 import csv
+import errno
 import hashlib
 import io
 import itertools
 import os
 import re
-import tempfile
+import threading
 from collections import defaultdict
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -124,11 +126,16 @@ class VisitRecord:
             return "empty title_id"
         if not self.cell_id:
             return "empty cell_id"
-        if self.timestamp is not None and self.timestamp < 0:
-            return f"negative timestamp {self.timestamp}"
-        if self.timestamp is not None and self.timestamp > _MAX_TIMESTAMP:
-            return f"timestamp {self.timestamp} out of range"
-        return None
+        return _timestamp_problem(self.timestamp)
+
+
+def _timestamp_problem(timestamp):
+    """Why a timestamp, if not None, is out of range, or else None."""
+    if timestamp is not None and timestamp < 0:
+        return f"negative timestamp {timestamp}"
+    if timestamp is not None and timestamp > _MAX_TIMESTAMP:
+        return f"timestamp {timestamp} out of range"
+    return None
 
 
 class _IdMap(dict):
@@ -632,10 +639,8 @@ def _parse_timestamp(line_no, text):
         raise TraceFormatError(
             line_no, f"non-integer timestamp {text!r}"
         ) from None
-    if timestamp < 0:
-        raise TraceFormatError(line_no, f"negative timestamp {timestamp}")
-    if timestamp > _MAX_TIMESTAMP:
-        raise TraceFormatError(line_no, f"timestamp {timestamp} out of range")
+    if problem := _timestamp_problem(timestamp):
+        raise TraceFormatError(line_no, problem)
     return timestamp
 
 
@@ -809,6 +814,43 @@ def _read_sidecar(sidecar, key):
     return TraceDataset(arrays)
 
 
+@contextmanager
+def _replacing(paths):
+    """Temporary names next to ``paths``, unique to this process and
+    thread, in a directory made if missing, to write the files under.  Each
+    is renamed into place once the block ends.  On a failure the temporary
+    files are removed, and so are the directories made unless a file was
+    renamed into one: a failed write leaves no output, and a failed rename
+    the files renamed before it.  The error raised is the one that stopped
+    the block or the renames.  A path given twice or that is a directory
+    is refused before anything is made."""
+    seen = set()
+    for path in paths:
+        if path in seen:
+            raise ValueError(f"two outputs would be written to {path}")
+        seen.add(path)
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    str(path))
+    parent = paths[0].parent
+    made = [d for d in (parent, *parent.parents) if not d.exists()]
+    parent.mkdir(parents=True, exist_ok=True)
+    writer = f"{os.getpid()}.{threading.get_native_id()}"
+    temps = [path.with_name(f".{path.name}.{writer}.tmp") for path in paths]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            with suppress(OSError):
+                temp.unlink()
+        for directory in made:  # the deepest first
+            with suppress(OSError):
+                directory.rmdir()
+        raise
+
+
 def load_trace(path):
     """:func:`parse_trace` through the file's sidecar (see the module)."""
     path = Path(path)
@@ -830,17 +872,12 @@ def load_trace(path):
     # directory can drop a member, but each member's CRC is checked.
     arrays = {name: np.asarray(dataset._arrays[name], dtype)
               for name, dtype, *_ in _SIDECAR}
-    temp = None
-    try:
-        fd, temp = tempfile.mkstemp(".tmp", sidecar.name, sidecar.parent)
-        with open(fd, "wb") as handle:
+    # Made private; whoever may read the trace may read its sidecar.
+    with suppress(OSError), _replacing([sidecar]) as (temp,):
+        with open(temp, "wb", opener=lambda name, flags: os.open(
+                name, flags | os.O_EXCL, 0o600)) as handle:
             np.savez(handle, key=key, **arrays)
-        # Whoever may read the trace may read its sidecar.
         os.chmod(temp, os.stat(path).st_mode & 0o666)
-        os.replace(temp, sidecar)
-    except OSError:  # a read-only directory or a full disk, say
-        if temp:
-            os.unlink(temp)
     return dataset
 
 

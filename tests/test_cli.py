@@ -229,6 +229,18 @@ class TestStats:
         assert len(rows) == 4
         assert [r[0] for r in rows] == ["1", "2", "3", "4"]
 
+    def test_output_that_is_the_input_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = gen_trace(out, name="geo_profile.csv")
+        trace_bytes = path.read_bytes()
+        capsys.readouterr()
+        assert run(["stats", "--input", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"prepush: error: {path}: output "
+                                       "would replace the input trace\n")
+        assert path.read_bytes() == trace_bytes
+        assert sorted(p.name for p in out.iterdir()) == [
+            ".geo_profile.csv.prepush.npz", "geo_profile.csv"]
+
     def test_json_format(self, tmp_path):
         trace = gen_trace(tmp_path)
         outdir = tmp_path / "stats"
@@ -425,6 +437,38 @@ class TestSweep:
                 for stem in (f"sweep_{first}", f"sweep_{second}",
                              "sweep_optima")]
             assert {p.name: p.read_bytes() for p in outdir.iterdir()} == want
+
+    @pytest.mark.parametrize("titles", ["2,1", "optima,t2"],
+                             ids=["ranks", "ids"])
+    def test_title_named_optima_is_refused(self, tmp_path, capsys, titles):
+        # Its sweep table and the optima table would share one path.
+        path = tmp_path / "trace.csv"
+        path.write_text("user_id,title_id,cell_id,timestamp\n"
+                        "u1,optima,c1,\nu2,t2,c1,\nu3,t2,c2,\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["sweep", "--input", str(path), "--output", str(out),
+                    "--titles", titles]) == 1
+        assert capsys.readouterr() == ("", "prepush: error: two outputs "
+                                       f"would be written to {out}/"
+                                       "sweep_optima.csv\n")
+        assert not out.exists()
+
+    def test_unremovable_temporary_file_leaves_no_directory(self, tmp_path,
+                                                            capsys):
+        # The table's name is as long as a name can be, so its temporary
+        # name is too long to create or to remove.
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        title = "t" * (name_max - len("sweep_.csv"))
+        path = tmp_path / "trace.csv"
+        path.write_text("user_id,title_id,cell_id,timestamp\n"
+                        f"u1,{title},c1,\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["sweep", "--input", str(path), "--output", str(out),
+                    "--titles", title]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"prepush: error: [Errno {errno.ENAMETOOLONG}] ")
+        assert not out.exists()
 
     def test_default_ranks_filtered_to_available(self, tmp_path, capsys):
         trace = gen_trace(tmp_path)  # 30 titles: ranks 100/1000 unavailable
@@ -740,11 +784,11 @@ class Faults:
     with an ``OSError``.
 
     A write is counted on the raw file beneath any buffer, where the
-    operating system reports a full disk.  A failing ``open`` closes what
-    it opened before it raises, so that a descriptor handed to it is not
-    leaked and a file it created is left for the command to remove.  Each
-    call is recorded with its file: the path, or :data:`SIDECAR` for the
-    sidecar and its temporary file, the one file opened by descriptor.
+    operating system reports a full disk.  A failing ``open`` closes the
+    file it opened before it raises, and leaves a file it created for the
+    command to remove.  Each call is recorded with its file: the path, or
+    :data:`SIDECAR` for the sidecar and its temporary file, which is named
+    after it.
     """
 
     def __init__(self, patch, fail=None):
@@ -777,7 +821,7 @@ class Faults:
         patch.setattr(os, "replace", hooked_replace)
 
     def call(self, kind, file):
-        if isinstance(file, int) or ".prepush.npz" in os.fspath(file):
+        if ".prepush.npz" in os.fspath(file):
             file = SIDECAR
         self.calls.append((kind, os.fspath(file)))
         if len(self.calls) - 1 == self.fail:

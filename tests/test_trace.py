@@ -2,6 +2,7 @@ import copy
 import hashlib
 import os
 import pickle
+import threading
 from unittest import mock
 
 import numpy as np
@@ -927,6 +928,49 @@ class TestLoadTrace:
         path.chmod(mode)
         trace.load_trace(path)
         assert sidecar_of(path).stat().st_mode & 0o777 == mode
+
+    def test_sidecar_is_private_while_written(self, tmp_path, monkeypatch):
+        # A 0600 trace's identifiers are not readable by others through
+        # the sidecar's temporary file, whatever the umask allows.
+        def spy(handle, *args, **kwargs):
+            modes.append(os.fstat(handle.fileno()).st_mode & 0o777)
+            return savez(handle, *args, **kwargs)
+
+        path = write_text(tmp_path, HEADER + "u1,t1,c1,\n")
+        path.chmod(0o600)
+        savez, modes = np.savez, []
+        monkeypatch.setattr(np, "savez", spy)
+        umask = os.umask(0o022)
+        try:
+            trace.load_trace(path)
+        finally:
+            os.umask(umask)
+        assert modes == [0o600]
+        assert sidecar_of(path).stat().st_mode & 0o777 == 0o600
+
+    def test_threads_loading_one_fresh_trace(self, tmp_path):
+        # Two misses at once write two temporary files, not one.
+        def load(slot):
+            barrier.wait()
+            got[slot] = trace.load_trace(path)
+
+        path = write_text(tmp_path, HEADER + "".join(
+            f"u{k % 7},t{k % 5},c{k % 3},{k}\n" for k in range(500)))
+        barrier, got = threading.Barrier(2), [None, None]
+        threads = [threading.Thread(target=load, args=(slot,))
+                   for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        parsed = parse_trace(path)
+        parsed._planning
+        for dataset in got:
+            assert_same_fields(dataset, parsed)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".trace.csv.prepush.npz", "trace.csv"]
+        with mock.patch.object(trace, "_parse", refuse_parse):
+            assert_same_fields(trace.load_trace(path), parsed)
 
     def test_missing_file_raises_as_parse(self, tmp_path):
         with pytest.raises(FileNotFoundError) as exc:
