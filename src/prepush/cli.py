@@ -32,7 +32,7 @@ from .planning import (
     titles_by_popularity,
 )
 from .synth import SynthParams, generate
-from .trace import _replacing, load_trace, write_trace
+from .trace import _replacing, _write_rows, _write_sidecar, load_trace
 
 MODE_CASES = {
     "perfect": CASE_PERFECT,
@@ -185,7 +185,8 @@ def _handle_gen(args):
     params = _gen_params(args, build_parser().error)
     dataset = generate(params)
     with _replacing([Path(args.output)]) as (temp,):
-        write_trace(dataset, temp)
+        digest = _write_rows(dataset, temp)
+    _write_sidecar(dataset, Path(args.output), digest)
     print(
         f"wrote {dataset.total_visits} visits "
         f"({dataset.n_users} users, {dataset.n_titles} titles) "

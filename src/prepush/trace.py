@@ -14,12 +14,12 @@ identifiers is built from the arrays on first use and raises
 :class:`UnknownIdError` for an identifier the trace does not hold, as do
 the one-title and one-user queries that read one.  Datasets are immutable
 after construction and safe to share across threads; all analysis
-functions in this package are pure reads over them.  :func:`load_trace`
-parses a file once and builds its planning tables, then keeps the arrays
-(about twice the columns' size) in a sidecar ``.<name>.prepush.npz`` keyed
-by the sha256 of the bytes parsed; later reads wrap the stored arrays and
-build nothing.  A stale, damaged or inconsistent sidecar is parsed over,
-and any is safe to delete.
+functions in this package are pure reads over them.  :func:`write_trace`
+keeps a dataset's arrays and planning tables (about twice the columns'
+size) in a sidecar ``.<name>.prepush.npz`` keyed by the sha256 of the
+bytes written, as ``prepush gen`` does and :func:`load_trace` after parsing
+a trace without one; later reads wrap the stored arrays and build nothing.
+A stale, damaged or inconsistent sidecar is parsed over; any may be deleted.
 
 Trace file format: UTF-8 text, one header line ``user_id,title_id,cell_id,
 timestamp``, comma-delimited rows, empty timestamp field allowed.
@@ -312,16 +312,17 @@ class TraceDataset:
 
         # Each (title, target cell) pair at the first ranked position it
         # appears at, with the visits the cell covers (0 where the title was
-        # never visited in it).
+        # never visited in it), looked up in ascending order of pairs.
         top_cells = a["user_cells"][a["user_cell_bounds"][:-1]]
-        pairs = ranked_titles * n_cells + top_cells[ranked_users]
-        first = np.sort(_distinct(pairs)[1])
-        pairs = pairs[first]
+        pairs, first = _distinct(ranked_titles * n_cells
+                                 + top_cells[ranked_users])[:2]
         tc_keys, tc_counts = _counted(_pair_keys(titles, cells, n_cells))
         at = tc_keys.searchsorted(pairs).clip(max=len(tc_keys) - 1)
         covers = np.where(tc_keys[at] == pairs, tc_counts[at], 0)
         title_cells = np.bincount(tc_keys // n_cells)
         del pairs, at, tc_keys, tc_counts
+        order = first.argsort()
+        first, covers = first[order], covers[order]
         # Each prefix column steps at the positions that reach a new entry.
         prefix = {}
         for name, dtype, step in (("ranked_targets", np.int32, 1),
@@ -835,8 +836,9 @@ def _replacing(paths):
     parent = paths[0].parent
     made = [d for d in (parent, *parent.parents) if not d.exists()]
     parent.mkdir(parents=True, exist_ok=True)
-    writer = f"{os.getpid()}.{threading.get_native_id()}"
-    temps = [path.with_name(f".{path.name}.{writer}.tmp") for path in paths]
+    # Short whatever the output's name, so any name that fits has one.
+    tag = f"{os.getpid()}.{threading.get_native_id()}.tmp"
+    temps = [p.with_name(f".prepush.{i}.{tag}") for i, p in enumerate(paths)]
     try:
         yield temps
         for temp, path in zip(temps, paths):
@@ -856,69 +858,91 @@ def load_trace(path):
     path = Path(path)
     if not path.is_file():
         return parse_trace(path)
-    sidecar = path.with_name(f".{path.name}.prepush.npz")
     with open(path, "rb") as handle:
         key = _SIDECAR_KEY + hashlib.file_digest(handle, "sha256").hexdigest()
-    dataset = _read_sidecar(sidecar, key)
-    if dataset is not None:
-        return dataset
-    # Keyed by the bytes parsed, which differ from those hashed above if the
-    # file was rewritten in between.
-    digest = hashlib.sha256()
-    dataset = _parse(path, digest)
-    key = _SIDECAR_KEY + digest.hexdigest()
+    dataset = _read_sidecar(_sidecar(path), key)
+    if dataset is None:
+        # Keyed by the bytes parsed, which differ from those hashed above if
+        # the file was rewritten in between.
+        digest = hashlib.sha256()
+        dataset = _parse(path, digest)
+        _write_sidecar(dataset, path, digest)
+    return dataset
+
+
+def _sidecar(path):
+    return path.with_name(f".{path.name}.prepush.npz")
+
+
+def _write_sidecar(dataset, path, digest):
+    """Keep the dataset in ``path``'s sidecar; a failed write leaves none."""
     dataset._planning  # stored with the columns, so no hit builds it
     # Every array is stored, an empty one for no timestamps: a damaged zip
     # directory can drop a member, but each member's CRC is checked.
     arrays = {name: np.asarray(dataset._arrays[name], dtype)
               for name, dtype, *_ in _SIDECAR}
     # Made private; whoever may read the trace may read its sidecar.
-    with suppress(OSError), _replacing([sidecar]) as (temp,):
+    with suppress(OSError), _replacing([_sidecar(path)]) as (temp,):
         with open(temp, "wb", opener=lambda name, flags: os.open(
                 name, flags | os.O_EXCL, 0o600)) as handle:
-            np.savez(handle, key=key, **arrays)
+            np.savez(handle, key=_SIDECAR_KEY + digest.hexdigest(), **arrays)
         os.chmod(temp, os.stat(path).st_mode & 0o666)
-    return dataset
 
 
 def write_trace(dataset, path):
-    """Write a dataset in the exact format :func:`parse_trace` reads.
+    """Write a dataset in the exact format :func:`parse_trace` reads, and
+    its sidecar unless ``path`` is not a regular file, as :func:`load_trace`.
 
     ``parse_trace(write_trace(d))`` reproduces ``d``.  Raises
     :class:`EmptyTraceError` for a zero-record dataset and ValueError for
     identifiers outside the file format's character set; either is raised
     before the file is opened.
     """
+    digest = _write_rows(dataset, path)
+    if Path(path).is_file():
+        _write_sidecar(dataset, Path(path), digest)
+
+
+def _write_rows(dataset, path):
+    """:func:`write_trace`'s rows alone; returns their bytes' sha256.  A row
+    is its NUL-padded fields with commas and a newline, NULs dropped."""
     if not dataset.total_visits:
         raise EmptyTraceError("refusing to write a zero-record trace")
-    # Each vocabulary entry is checked once.  Codes number identifiers in
-    # order of first appearance, so a kind's lowest bad code is the first
-    # bad one in its column.
-    found = []
-    arrays = dataset._arrays
+    # Each vocabulary entry is checked once, a NUL by the length.  Codes
+    # number identifiers in order of first appearance, so a kind's lowest
+    # bad code is the first bad one in its column.
+    found, matrices, a = [], [], dataset._arrays
     for kind, name in enumerate(_ID_FIELDS):
-        ids, codes = arrays[f"ids{kind}"], arrays[f"codes{kind}"]
-        bad = next((code for code, ident in enumerate(ids.tolist())
-                    if not _IDENT_RE.match(ident)), None)
-        if bad is not None:
-            found.append((int(np.argmax(codes == bad)), kind,
+        ids = a[f"ids{kind}"]
+        chars = ids.astype(str).view(np.uint32).reshape(len(ids), -1)
+        sizes = np.fromiter(map(len, ids.tolist()), np.int64, len(ids))
+        good = (np.isin(chars, list(b"\0" + _ID_BYTES)).all(axis=1)
+                & (np.count_nonzero(chars, axis=1) == sizes) & (sizes > 0))
+        if not good.all():
+            bad = int(good.argmin())
+            found.append((int(np.argmax(a[f"codes{kind}"] == bad)), kind,
                           f"{name} {ids[bad]!r}"))
+        matrices.append(np.pad(chars.astype(np.uint8), ((0, 0), (0, 1)),
+                               constant_values=ord(",")))
     if found:
         index, _, what = min(found)
-        raise ValueError(
-            f"record {index}: {what} not writable as [A-Za-z0-9_:-]+"
-        )
-    stamps = arrays["timestamps"]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_HEADER_LINE)
+        raise ValueError(f"record {index}: {what} not writable as "
+                         "[A-Za-z0-9_:-]+")
+    stamps = a["timestamps"]
+    digest = hashlib.sha256(_HEADER_LINE.encode())
+    with open(path, "wb") as handle:
+        handle.write(_HEADER_LINE.encode())
         for start in range(0, dataset.total_visits, _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
-            ids = [arrays[f"ids{k}"][arrays[f"codes{k}"][rows]].tolist()
-                   for k in range(3)]
-            texts = np.full(len(ids[0]), "", dtype=object)
+            row = [m.take(a[f"codes{k}"][rows], axis=0)
+                   for k, m in enumerate(matrices)]
             if len(stamps):
-                given = stamps[rows]
-                has = given != _NO_TIMESTAMP
-                texts[has] = given[has].astype(str)
-            handle.write("\n".join(map(",".join, zip(*ids, texts.tolist()))))
-            handle.write("\n")
+                given = stamps[rows].astype("S19")
+                given[stamps[rows] == _NO_TIMESTAMP] = b""
+                row.append(given.view(np.uint8).reshape(len(given), -1))
+            row.append(np.full((len(row[0]), 1), ord("\n"), np.uint8))
+            text = np.concatenate(row, axis=1)
+            text = text[text != 0]
+            digest.update(text)
+            handle.write(text)
+    return digest

@@ -1,13 +1,16 @@
 import errno
+import hashlib
 import json
 import os
 import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import oracle
@@ -138,13 +141,13 @@ class TestGen:
             handle = open(*args, **kwargs)
             write = handle.write
 
-            def fail_fourth(text):
+            def fail_third(text):
                 writes.append(text)
-                if len(writes) == 4:  # the second block of rows
+                if len(writes) == 3:  # the second block of rows
                     raise OSError(28, "No space left on device")
                 return write(text)
 
-            handle.write = fail_fourth
+            handle.write = fail_third
             return handle
 
         def gen(output):
@@ -161,15 +164,39 @@ class TestGen:
             writes = []
             capsys.readouterr()
             assert gen(output) == 1
-            assert len(writes) == 4
+            assert len(writes) == 3
             assert capsys.readouterr() == (
                 "", "prepush: error: [Errno 28] No space left on device\n")
         assert existing.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".trace.csv.prepush.npz", "trace.csv"]
         # The directories it makes stay once the write succeeds.
         monkeypatch.undo()
         assert gen(new) == 0
         assert parse_trace(new).total_visits == 5000
+
+    def test_trace_bytes_are_pinned(self, tmp_path):
+        # The trace's sha256 when rows were formatted one at a time in
+        # Python: a writer change must not change a byte.
+        path = gen_trace(tmp_path, n_visits=5000, seed=7)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "cd51764a2e381c081814b9f0f30918774c1ea1cfd946a0666d7fefdc4aa3d1df")
+
+    def test_trace_is_born_with_its_sidecar(self, tmp_path, monkeypatch):
+        def refuse_parse(*args):
+            raise AssertionError("parsed a trace gen left a sidecar for")
+
+        path = gen_trace(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(trace, "_parse", refuse_parse)
+            born = trace.load_trace(path)._arrays
+        sidecar_of(path).unlink()
+        parsed = trace.load_trace(path)._arrays
+        assert list(born) == list(parsed) == [
+            name for name, *_ in trace._SIDECAR]
+        for name, array in parsed.items():
+            assert born[name].dtype == array.dtype, name
+            assert np.array_equal(born[name], array), name
 
     def test_determinism_byte_identical(self, tmp_path):
         a = gen_trace(tmp_path, seed=7, name="a.csv")
@@ -455,20 +482,40 @@ class TestSweep:
         assert not out.exists()
 
     def test_unremovable_temporary_file_leaves_no_directory(self, tmp_path,
+                                                            monkeypatch,
                                                             capsys):
-        # The table's name is as long as a name can be, so its temporary
-        # name is too long to create or to remove.
-        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
-        title = "t" * (name_max - len("sweep_.csv"))
+        # The table cannot be written, and removing its temporary file
+        # fails too.
+        def fail_open(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def fail_unlink(*args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied")
+
+        path = gen_trace(tmp_path)
+        out = tmp_path / "out"
+        monkeypatch.setattr(cli, "open", fail_open, raising=False)
+        monkeypatch.setattr(Path, "unlink", fail_unlink)
+        capsys.readouterr()
+        assert run(["sweep", "--input", str(path), "--output", str(out),
+                    "--titles", "1"]) == 1
+        assert capsys.readouterr() == (
+            "", "prepush: error: [Errno 28] No space left on device\n")
+        assert not out.exists()
+
+    def test_long_title_id_is_swept(self, tmp_path):
+        # A temporary name does not grow with its table's name, so a table
+        # whose name fits is written.
+        title = "t" * 240
         path = tmp_path / "trace.csv"
         path.write_text("user_id,title_id,cell_id,timestamp\n"
                         f"u1,{title},c1,\n", encoding="utf-8")
         out = tmp_path / "out"
         assert run(["sweep", "--input", str(path), "--output", str(out),
-                    "--titles", title]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"prepush: error: [Errno {errno.ENAMETOOLONG}] ")
-        assert not out.exists()
+                    "--titles", title]) == 0
+        header, rows = read_csv_rows(out / f"sweep_{title}.csv")
+        assert header == ["coverage", "total_transmissions"]
+        assert len(rows) == len(cli.DEFAULT_COVERAGE_GRID)
 
     def test_default_ranks_filtered_to_available(self, tmp_path, capsys):
         trace = gen_trace(tmp_path)  # 30 titles: ranks 100/1000 unavailable
@@ -601,9 +648,9 @@ def run_commands(tmp_path, path, state):
 
 
 def test_commands_build_no_view(tmp_path, monkeypatch):
-    # On a miss, the sidecar write alone builds the planning tables: for
-    # stats too, which stores them though it plans nothing.
-    refuse_views(monkeypatch, builder=trace.load_trace)
+    # The sidecar write alone builds the planning tables: on a miss, for
+    # stats too, which stores them though it plans nothing, and in gen.
+    refuse_views(monkeypatch, builder=trace._write_sidecar)
     path = gen_trace(tmp_path)  # runs `gen` under the same patch
     run_commands(tmp_path, path, "miss")
 
@@ -754,6 +801,7 @@ class TestSidecar:
             return replace(src, dst)
 
         path = gen_trace(tmp_path)
+        sidecar_of(path).unlink()  # gen's: the stats below is a miss
         replace = os.replace
         monkeypatch.setattr(os, "replace", fail)
         assert run(["stats", "--input", str(path),
@@ -786,14 +834,20 @@ class Faults:
     A write is counted on the raw file beneath any buffer, where the
     operating system reports a full disk.  A failing ``open`` closes the
     file it opened before it raises, and leaves a file it created for the
-    command to remove.  Each call is recorded with its file: the path, or
-    :data:`SIDECAR` for the sidecar and its temporary file, which is named
-    after it.
+    command to remove.  Each call is recorded with its file: the path, a
+    temporary file's by the path ``trace._replacing`` renames it to, or
+    :data:`SIDECAR` for a sidecar and its temporary file.
     """
 
     def __init__(self, patch, fail=None):
-        self.calls, self.fail = [], fail
-        replace = os.replace
+        self.calls, self.fail, self.finals = [], fail, {}
+        replace, replacing = os.replace, trace._replacing
+
+        @contextmanager
+        def hooked_replacing(paths):
+            with replacing(paths) as temps:
+                self.finals.update(zip(map(os.fspath, temps), paths))
+                yield temps
 
         def hooked_open(file, *args, **kwargs):
             handle = open(file, *args, **kwargs)
@@ -818,9 +872,11 @@ class Faults:
 
         for module in (cli, trace):
             patch.setattr(module, "open", hooked_open, raising=False)
+            patch.setattr(module, "_replacing", hooked_replacing)
         patch.setattr(os, "replace", hooked_replace)
 
     def call(self, kind, file):
+        file = self.finals.get(os.fspath(file), file)
         if ".prepush.npz" in os.fspath(file):
             file = SIDECAR
         self.calls.append((kind, os.fspath(file)))
@@ -845,11 +901,11 @@ FAULT_RUNS = [(["gen", "--n-users", "60", "--n-titles", "30",
 def test_every_fault_fails_cleanly(tmp_path, monkeypatch, capsys, argv,
                                    state):
     """Each open, write and rename of a clean run fails in turn, into a
-    new and into an existing output directory.  A fault in the sidecar
-    costs only the time it saves.  Any other fails the command with the
-    fault's error and no traceback, and changes no output but the files
-    renamed before it; no run leaves a temporary file, or a sidecar that
-    loads to another dataset."""
+    new and into an existing output directory.  A fault in a sidecar, the
+    input's or gen's, costs only the time it saves.  Any other fails the
+    command with the fault's error and no traceback, and changes no output
+    but the files renamed before it; no run leaves a temporary file, or a
+    sidecar that loads to another dataset."""
     def refuse_parse(*args):
         raise AssertionError("parsed a trace its sidecar holds")
 
@@ -873,12 +929,16 @@ def test_every_fault_fails_cleanly(tmp_path, monkeypatch, capsys, argv,
     trace.load_trace(path)
     stored = sidecar.read_bytes()
     capsys.readouterr()
+    written = made / "out" / "t.csv"
     if argv[0] == "gen":
-        argv = [*argv, "--output", str(made / "out" / "t.csv")]
+        argv = [*argv, "--output", str(written)]
     else:
         argv = [*argv, "--input", str(path), "--output", str(made / "out")]
     code, clean, calls, files = attempt(None, ())
     assert (code, clean.err) == (0, "")
+    # What a run must leave after a fault in a sidecar: gen's may be gone.
+    kept = {file: data for file, data in files.items()
+            if file != sidecar_of(written)}
     for fail, (_, file) in enumerate(calls):
         # A fault in the sidecar leaves a clean run's outputs, which one
         # output directory shows.
@@ -891,7 +951,12 @@ def test_every_fault_fails_cleanly(tmp_path, monkeypatch, capsys, argv,
                 with mock.patch.object(trace, "_parse", refuse_parse):
                     assert trace.load_trace(path) == parsed
             if file == SIDECAR:
-                assert (code, printed, got) == (0, clean, files)
+                if sidecar_of(written).exists():
+                    with mock.patch.object(trace, "_parse", refuse_parse):
+                        assert (trace.load_trace(written)
+                                == parse_trace(written))
+                    del got[sidecar_of(written)]
+                assert (code, printed, got) == (0, clean, kept)
                 continue
             assert (code, printed) == (
                 1, ("", "prepush: error: [Errno 5] injected fault\n"))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import os
 import pickle
@@ -363,7 +364,54 @@ def test_write_parse_roundtrip(tmp_path_factory, records, chunk):
     assert back.records == tuple(records)
 
 
+def reference_text(records):
+    """A trace file's text, formatted a row at a time in plain Python."""
+    return HEADER + "".join(
+        f"{r.user_id},{r.title_id},{r.cell_id},"
+        f"{'' if r.timestamp is None else r.timestamp}\n" for r in records)
+
+
+@given(st.lists(visit_records, min_size=1, max_size=25), st.booleans(),
+       st.integers(1, 8))
+@example(WORD_EDGE_RECORDS, True, 2)
+@example([VisitRecord("u1", "t1", "c1", stamp) for stamp in (
+    None, 0, 123456789012345678, 10**18 - 1, None, 2**63 - 1)], True, 4)
+@settings(max_examples=200, deadline=None)
+def test_writer_matches_reference_formatter(tmp_path_factory, records,
+                                            stamped, chunk):
+    """Identifiers of any width, timestamps of any width or none, a few
+    rows to each of several chunks; the digest is of the bytes written."""
+    if not stamped:
+        records = [dataclasses.replace(r, timestamp=None) for r in records]
+    path = tmp_path_factory.mktemp("written") / "trace.csv"
+    with mock.patch.object(trace, "_CHUNK_ROWS", chunk):
+        digest = trace._write_rows(build_indexes(records), path)
+    text = reference_text(records).encode()
+    assert path.read_bytes() == text
+    assert digest.hexdigest() == hashlib.sha256(text).hexdigest()
+
+
+def sidecar_members(path):
+    with np.load(sidecar_of(path)) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
 class TestWrite:
+    @pytest.mark.parametrize("stamped", [True, False],
+                             ids=["timestamps", "none"])
+    def test_sidecar_is_the_one_load_trace_writes(self, tmp_path, stamped):
+        records = make_random_records(seeded_rng(4), with_timestamps=stamped)
+        path = tmp_path / "out.csv"
+        write_trace(build_indexes(records), path)
+        written = sidecar_members(path)
+        sidecar_of(path).unlink()
+        trace.load_trace(path)
+        stored = sidecar_members(path)
+        assert list(written) == list(stored)
+        for name, array in stored.items():
+            assert written[name].dtype == array.dtype, name
+            assert np.array_equal(written[name], array), name
+
     def test_roundtrip_with_timestamps(self, tmp_path):
         records = make_random_records(seeded_rng(3), with_timestamps=True)
         ds = build_indexes(records)
@@ -398,6 +446,16 @@ class TestWrite:
         with pytest.raises(EmptyTraceError):
             write_trace(build_indexes([]), tmp_path / "out.csv")
 
+    def test_no_sidecar_beside_a_device(self, monkeypatch):
+        # load_trace parses such a path each time, so a sidecar, or the
+        # tables built for it, would be waste and a stray hidden file.
+        def refuse(*args):
+            raise AssertionError("kept a sidecar for a device")
+
+        monkeypatch.setattr(trace, "_write_sidecar", refuse)
+        write_trace(build_indexes([VisitRecord("u1", "t1", "c1")]),
+                    os.devnull)
+
     def test_unwritable_path(self, tmp_path):
         ds = build_indexes([VisitRecord("u1", "t1", "c1")])
         with pytest.raises(OSError):
@@ -420,6 +478,12 @@ class TestWrite:
              "record 0: user_id 'u 1'"),
             ([("u1", "t1", "c1"), ("u2", "t1", "c\n2"), ("u 1", "t1", "c1")],
              "record 1: cell_id 'c\\n2'"),
+            ([("u1", "t1", "c1"), ("u2", "t\u00e9", "c1")],
+             "record 1: title_id 't\u00e9'"),
+            ([("u1", "t1", "c1"), ("u1", "t1", "c\x00")],
+             "record 1: cell_id 'c\\x00'"),
+            ([("u1", "t1", "c1"), ("u\x002", "t1", "c1")],
+             "record 1: user_id 'u\\x002'"),
         ],
     )
     def test_error_names_first_bad_record(self, tmp_path, records, message):
