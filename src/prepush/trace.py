@@ -40,6 +40,7 @@ import io
 import itertools
 import os
 import re
+import stat
 import threading
 from collections import defaultdict
 from contextlib import contextmanager, suppress
@@ -120,12 +121,9 @@ class VisitRecord:
 
     def problem(self):
         """Return a description of the first violated invariant, or None."""
-        if not self.user_id:
-            return "empty user_id"
-        if not self.title_id:
-            return "empty title_id"
-        if not self.cell_id:
-            return "empty cell_id"
+        for name in _ID_FIELDS:
+            if not getattr(self, name):
+                return f"empty {name}"
         return _timestamp_problem(self.timestamp)
 
 
@@ -623,6 +621,13 @@ def _add_rows(columns, rows):
     return True
 
 
+def _all_identifiers(ids):
+    """Whether ``ids`` is one or more str, each passing the parser's test."""
+    data = ("\n" + "\n".join(ids) + "\n").encode("ascii", "replace")
+    return (data.translate(None, _ID_BYTES) == b"\n" * (len(ids) + 1)
+            and b"\n\n" not in data)
+
+
 def _parse_identifier(line_no, name, value):
     if not value:
         raise TraceFormatError(line_no, f"empty {name} field")
@@ -772,15 +777,21 @@ def _parse(path, digest):
 
 def _read_sidecar(sidecar, key):
     """The dataset ``sidecar`` holds under ``key``, or None: a stale,
-    damaged or crafted one is None if any :data:`_SIDECAR` member is
-    missing, has another dtype or length, or holds a value out of range,
-    or if ``ranked_targets`` does not count up from 0 to its entries."""
+    damaged or crafted one is None if it is not a regular file, if any
+    :data:`_SIDECAR` member is missing, has another dtype or length, or
+    holds a value out of range, if ``ranked_targets`` does not count up
+    from 0 to its entries, or if a vocabulary holds an identifier the
+    trace format cannot, or one twice."""
     try:
-        with (open(sidecar, "rb") as handle,
-              np.load(handle, allow_pickle=False) as npz):
-            if str(npz["key"]) != key:
+        # Not blocking, so that a FIFO at its path is a miss, not a hang.
+        with open(sidecar, "rb", opener=lambda name, flags: os.open(
+                name, flags | os.O_NONBLOCK)) as handle:
+            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
                 return None
-            arrays = {name: npz[name] for name, *_ in _SIDECAR}
+            with np.load(handle, allow_pickle=False) as npz:
+                if str(npz["key"]) != key:
+                    return None
+                arrays = {name: npz[name] for name, *_ in _SIDECAR}
         n = len(arrays["codes0"])
         sizes = {"visits": n, "stamps": n if len(arrays["timestamps"]) else 0,
                  "users": len(arrays["ids0"]), "titles": len(arrays["ids1"]),
@@ -808,8 +819,10 @@ def _read_sidecar(sidecar, key):
         if not (targets[0] == 0 and targets[-1] == sizes["targets"]
                 and 0 <= steps.min() and steps.max() <= 1):
             return None
-        for k in range(3):
-            arrays[f"ids{k}"] = arrays[f"ids{k}"].astype(str).astype(object)
+        for name in ("ids0", "ids1", "ids2"):
+            ids = arrays[name] = arrays[name].astype(str).astype(object)
+            if not _all_identifiers(ids) or len(set(ids)) < len(ids):
+                return None
     except Exception:  # an unreadable sidecar, or non-ASCII identifiers
         return None
     return TraceDataset(arrays)
@@ -823,8 +836,8 @@ def _replacing(paths):
     files are removed, and so are the directories made unless a file was
     renamed into one: a failed write leaves no output, and a failed rename
     the files renamed before it.  The error raised is the one that stopped
-    the block or the renames.  A path given twice or that is a directory
-    is refused before anything is made."""
+    the block or the renames.  A path given twice, or that exists and is
+    not a regular file, is refused before anything is made."""
     seen = set()
     for path in paths:
         if path in seen:
@@ -833,6 +846,8 @@ def _replacing(paths):
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
                                     str(path))
+        if path.exists() and not path.is_file():
+            raise OSError(errno.EINVAL, "Not a regular file", str(path))
     parent = paths[0].parent
     made = [d for d in (parent, *parent.parents) if not d.exists()]
     parent.mkdir(parents=True, exist_ok=True)
@@ -908,26 +923,21 @@ def _write_rows(dataset, path):
     is its NUL-padded fields with commas and a newline, NULs dropped."""
     if not dataset.total_visits:
         raise EmptyTraceError("refusing to write a zero-record trace")
-    # Each vocabulary entry is checked once, a NUL by the length.  Codes
-    # number identifiers in order of first appearance, so a kind's lowest
-    # bad code is the first bad one in its column.
-    found, matrices, a = [], [], dataset._arrays
+    # Codes number identifiers in order of first appearance, so a kind's
+    # lowest bad code is the first bad one in its column.
+    found, a = [], dataset._arrays
     for kind, name in enumerate(_ID_FIELDS):
         ids = a[f"ids{kind}"]
-        chars = ids.astype(str).view(np.uint32).reshape(len(ids), -1)
-        sizes = np.fromiter(map(len, ids.tolist()), np.int64, len(ids))
-        good = (np.isin(chars, list(b"\0" + _ID_BYTES)).all(axis=1)
-                & (np.count_nonzero(chars, axis=1) == sizes) & (sizes > 0))
-        if not good.all():
-            bad = int(good.argmin())
+        if not _all_identifiers(ids):
+            bad = next(k for k, i in enumerate(ids) if not _IDENT_RE.match(i))
             found.append((int(np.argmax(a[f"codes{kind}"] == bad)), kind,
                           f"{name} {ids[bad]!r}"))
-        matrices.append(np.pad(chars.astype(np.uint8), ((0, 0), (0, 1)),
-                               constant_values=ord(",")))
     if found:
         index, _, what = min(found)
         raise ValueError(f"record {index}: {what} not writable as "
                          "[A-Za-z0-9_:-]+")
+    matrices = [np.char.add(a[f"ids{k}"].astype("S"), b",")[:, None].view(
+        np.uint8) for k in range(3)]
     stamps = a["timestamps"]
     digest = hashlib.sha256(_HEADER_LINE.encode())
     with open(path, "wb") as handle:

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import shutil
+import signal
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -109,6 +111,15 @@ class TestGen:
                     "--config", str(config)])
         assert code == 1
         assert "n_userz" in capsys.readouterr().err
+
+    def test_config_line_without_equals_fails(self, tmp_path, capsys):
+        config = tmp_path / "params.conf"
+        config.write_text("n_users=40\nn_titles 20\n", encoding="utf-8")
+        assert run(["gen", "--output", str(tmp_path / "t.csv"),
+                    "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"prepush: error: {config}: line 2: expected key=value\n")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_invalid_params_exit_1(self, tmp_path, capsys):
         code = run(
@@ -365,6 +376,17 @@ class TestPlan:
             assert hit + missing == actual
             assert hit + mistaken == estimated
 
+    def test_ratio_grid_that_is_not_numbers_is_usage_error(self, tmp_path,
+                                                           capsys):
+        path = gen_trace(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(["plan", "--input", str(path), "--output",
+                 str(tmp_path / "out"), "--ratio-grid", "0,x"])
+        assert exc.value.code == 2
+        assert ("expected comma-separated numbers, got '0,x'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_bad_ratio_grid_exit_1(self, tmp_path, capsys):
         # Arguments are checked before anything is written: a failing
         # command leaves no output directory behind.
@@ -516,6 +538,16 @@ class TestSweep:
         header, rows = read_csv_rows(out / f"sweep_{title}.csv")
         assert header == ["coverage", "total_transmissions"]
         assert len(rows) == len(cli.DEFAULT_COVERAGE_GRID)
+
+    def test_titles_naming_nothing_exit_1(self, tmp_path, capsys):
+        path = gen_trace(tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(["sweep", "--input", str(path), "--output", str(out),
+                    "--titles", " , "]) == 1
+        assert capsys.readouterr() == ("", "prepush: error: --titles must "
+                                       "name at least one rank or title id\n")
+        assert not out.exists()
 
     def test_default_ranks_filtered_to_available(self, tmp_path, capsys):
         trace = gen_trace(tmp_path)  # 30 titles: ranks 100/1000 unavailable
@@ -711,6 +743,29 @@ def test_output_path_that_is_a_directory(tmp_path, monkeypatch, capsys,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", ["gen", "stats"])
+def test_output_path_that_is_a_fifo(tmp_path, monkeypatch, capsys, command):
+    # Renaming a file over it would leave a regular file in its place.
+    trace_path = gen_trace(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    if command == "gen":
+        target = "pipe"
+        argv = ["gen", "--output", target, "--n-users", "60",
+                "--n-titles", "30", "--n-cells", "25", "--n-visits", "100"]
+    else:
+        os.mkdir("stats")
+        target = os.path.join("stats", "user_curve.csv")
+        argv = ["stats", "--input", str(trace_path), "--output", "stats"]
+    os.mkfifo(target)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"prepush: error: [Errno 22] Not a regular file: '{target}'\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert stat.S_ISFIFO(os.stat(target).st_mode)
+
+
 class TestWriteTables:
     def test_failed_write_leaves_no_partial_output(self, tmp_path,
                                                     monkeypatch, capsys):
@@ -809,6 +864,37 @@ class TestSidecar:
         assert "error" not in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "stats", "trace.csv"]
+
+    def test_fifo_at_the_sidecar_path_is_a_miss(self, tmp_path, capsys):
+        # Anyone who may create files beside the trace can put one there;
+        # a blocking open would wait for a writer forever.
+        def hung(*args):
+            pytest.fail("blocked opening the sidecar")
+
+        path = gen_trace(tmp_path)
+        outputs = []
+        for state in ("clean", "fifo"):
+            if state == "fifo":
+                sidecar_of(path).unlink()
+                os.mkfifo(sidecar_of(path))
+            capsys.readouterr()
+            previous = signal.signal(signal.SIGALRM, hung)
+            signal.alarm(10)
+            try:
+                assert run(["stats", "--input", str(path),
+                            "--output", str(tmp_path / state)]) == 0
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+            printed = capsys.readouterr()
+            outputs.append((printed.out.replace(str(tmp_path / state), ""),
+                            printed.err,
+                            {p.name: p.read_bytes()
+                             for p in (tmp_path / state).iterdir()}))
+        assert outputs[0] == outputs[1]
+        assert stat.S_ISFIFO(sidecar_of(path).stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".trace.csv.prepush.npz", "clean", "fifo", "trace.csv"]
 
     def test_failed_parse_writes_no_sidecar(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"

@@ -92,6 +92,11 @@ def test_unknown_title_in_every_query(tmp_path, query):
         assert (exc.value.kind, exc.value.identifier) == ("title", "t9")
 
 
+def test_unknown_case_is_refused():
+    with pytest.raises(ValueError, match="unknown case: 'bogus'"):
+        plan_title(one_title_dataset(), "t1", "bogus", 0.5)
+
+
 class TestPerfectCost:
     def test_counts_distinct_cells(self):
         bd = perfect_cost(one_title_dataset(), "t1")

@@ -25,6 +25,10 @@ class TestParams:
         with pytest.raises(ValueError):
             small_params(**{field: 0})
 
+    def test_max_cells_below_profile_length_rejected(self):
+        with pytest.raises(ValueError, match="at least len.geo_profile"):
+            small_params(geo_profile=(0.5, 0.3, 0.2), max_cells_per_user=2)
+
     def test_cells_below_max_per_user_rejected(self):
         with pytest.raises(ValueError):
             small_params(n_cells=5, max_cells_per_user=10)

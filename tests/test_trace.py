@@ -216,6 +216,17 @@ class TestParseBlocks:
         path.write_bytes(text.encode("utf-8"))
         assert parse_trace(path) == plain
 
+    def test_crlf_rows_over_many_row_blocks(self, tmp_path, monkeypatch):
+        # The per-line path hands on a block each _CHUNK_ROWS rows.
+        rows = [f"u{i % 7},t{i % 5},c{i % 3},{i if i % 2 else ''}\n"
+                for i in range(40)]
+        plain = parse_trace(write_text(tmp_path, HEADER + "".join(rows)))
+        path = tmp_path / "crlf.csv"
+        path.write_bytes((HEADER + "".join(rows)).replace(
+            "\n", "\r\n").encode())
+        monkeypatch.setattr(trace, "_CHUNK_ROWS", 6)
+        assert parse_trace(path) == plain
+
     def test_no_final_newline(self, tmp_path, lines, plain):
         path = write_text(tmp_path, HEADER + "".join(lines).rstrip("\n"))
         assert parse_trace(path) == plain
@@ -319,6 +330,17 @@ class TestBlockCheck:
         block = "".join(rows)
         assert trace._add_rows(trace._Columns(), block) == bool(
             oracle.ROWS_RE.fullmatch(block))
+
+    @given(st.lists(identifiers | st.text(max_size=3), max_size=6))
+    @example(["a\nb"])
+    @example(["a", ""])
+    @example(["a\x00"])
+    @example(["\udc80"])
+    @settings(max_examples=300, deadline=None)
+    def test_vocabulary_check_is_the_grammar(self, ids):
+        # The writer's and the sidecar reader's check, of one or more ids.
+        assert trace._all_identifiers(ids) == (bool(ids) and all(
+            map(oracle.IDENTIFIER_RE.fullmatch, ids)))
 
     @given(trace_texts(), st.integers(8, 80))
     @example(WORD_EDGE_TEXT, 8)
@@ -544,6 +566,14 @@ class TestBuildIndexes:
         with pytest.raises(RecordValidationError) as exc:
             build_indexes(records)
         assert exc.value.index == 1
+
+    @pytest.mark.parametrize("field", ["user_id", "cell_id"])
+    def test_empty_id_names_its_record(self, field):
+        record = dataclasses.replace(VisitRecord("u1", "t1", "c1"),
+                                     **{field: ""})
+        with pytest.raises(RecordValidationError) as exc:
+            build_indexes([record, VisitRecord("u2", "t2", "c2")])
+        assert str(exc.value) == f"record 0: empty {field}"
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(RecordValidationError):
@@ -836,6 +866,7 @@ class TestLoadTrace:
         "bounds_not_monotone", "bounds_repeat", "bounds_from_one",
         "bounds_past_end", "targets_skip", "targets_descend",
         "targets_from_one", "targets_wrong_end", "cell_counts_dropped",
+        "empty_id", "comma_id", "repeated_id",
     ])
     def test_bad_sidecar_is_a_miss_and_rewritten(self, tmp_path, damage):
         records = make_random_records(seeded_rng(35), with_timestamps=True)
@@ -949,6 +980,13 @@ class TestLoadTrace:
             self.rewrite(sidecar, ranked_targets=targets)
         elif damage == "cell_counts_dropped":
             self.rewrite(sidecar, drop=("cell_counts",))
+        elif damage in ("empty_id", "comma_id", "repeated_id"):
+            # Identifiers no trace can hold, with every size kept.
+            kind = {"empty_id": 0, "comma_id": 2, "repeated_id": 1}[damage]
+            ids = stored[f"ids{kind}"].tolist()
+            ids[1] = {"empty_id": b"", "comma_id": ids[1] + b",x",
+                      "repeated_id": ids[0]}[damage]
+            self.rewrite(sidecar, **{f"ids{kind}": np.array(ids)})
         assert sidecar.read_bytes() != good
         assert trace.load_trace(path) == build_indexes(records)
         assert sidecar.read_bytes() == good
