@@ -26,11 +26,13 @@ timestamp``, comma-delimited rows, empty timestamp field allowed.
 Identifiers are restricted to ``[A-Za-z0-9_:-]+`` so no quoting is needed.
 The parser checks each block of about a megabyte with byte operations,
 then finds its fields and codes its identifiers and timestamps with numpy
-over the block's bytes, looking up each distinct identifier once.  From
-the first block the check rejects to the end of the file it reads line
-by line with :mod:`csv`: that path still accepts the odd rows :mod:`csv`
-and ``int`` accept (quoted fields, CRLF line ends, ``+5`` timestamps), and
-it is the only place a parse error is raised.
+over the block's bytes, looking up each distinct identifier once.  It
+reads a block the check rejects, and a record a quoted field carries past
+it, line by line with :mod:`csv`, then goes on with the next: that path
+still accepts the odd rows :mod:`csv` and ``int`` accept (quoted fields,
+CRLF line ends, ``+5`` timestamps), and it is the only place a parse error
+is raised: bytes that are not UTF-8, read as lone surrogates, fail their
+own row, as does a field longer than :func:`csv.field_size_limit`.
 """
 
 import csv
@@ -65,8 +67,8 @@ _IDENT_RE = re.compile(r"[A-Za-z0-9_:-]+\Z")
 _ID_BYTES = bytes(c for c in range(128) if _IDENT_RE.match(chr(c)))
 _HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
 _ID_FIELDS = TRACE_HEADER[:3]
-#: Characters per block the parser reads, and rows per block it collects
-#: on the per-line path or write_trace formats.
+#: Characters per block the parser reads (to the end of a line), and rows
+#: per block write_trace formats.
 _CHUNK_CHARS = 1 << 20
 _CHUNK_ROWS = 1 << 16
 #: The timestamp column's value for a visit without a timestamp.
@@ -571,15 +573,17 @@ def build_indexes(records):
 
 
 def _add_rows(columns, rows):
-    """Append a block of rows and return True if each is three identifiers
-    and a timestamp of at most 18 digits (so it fits int64) or none; else
-    append nothing and return False.  Non-ASCII text fails the byte check.
+    """Append a block of rows (the last newline optional) and return True
+    if each is three identifiers and a timestamp of at most 18 digits (so
+    it fits int64) or none; else append nothing and return False.  Text
+    that is not ASCII fails, as do a field :mod:`csv` refuses and keys
+    that would outgrow 16 times the block.
 
     An identifier's key is its bytes zero-padded to whole little-endian
     8-byte words (identifiers hold no NUL), so the block's distinct keys
     come from one sort and only those are looked up in the vocabulary.
     """
-    data = rows.encode()
+    data = rows.encode("utf-8", "surrogateescape").removesuffix(b"\n") + b"\n"
     if (data.translate(None, _ID_BYTES) != b",,,\n" * data.count(b"\n")
             or b",," in data or b"\n," in data or data.startswith(b",")):
         return False
@@ -587,8 +591,14 @@ def _add_rows(columns, rows):
     ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
     starts = np.concatenate(([0], ends[:-1] + 1))
     starts, sizes = starts.reshape(-1, 4), (ends - starts).reshape(-1, 4)
+    longest = sizes.max()
+    # Keys take about the longest field's bytes a row; near 20 times the
+    # block's bytes, csv reads the block as fast, in far less memory.
+    if (longest * len(sizes) > 16 * len(data)
+            or longest > csv.field_size_limit()):
+        return False
     # Padding by the longest field keeps every window read inside the buffer.
-    buf = np.frombuffer(data + bytes(sizes.max() + 8), np.uint8)
+    buf = np.frombuffer(data + bytes(longest + 8), np.uint8)
     stamps = np.full(len(starts), _NO_TIMESTAMP, dtype=np.int64)
     given = np.flatnonzero(sizes[:, 3])
     if len(given):
@@ -650,59 +660,62 @@ def _parse_timestamp(line_no, text):
     return timestamp
 
 
-def _add_lines(columns, lines, lines_before, path):
-    """The per-line path: read ``lines`` with :mod:`csv`, check every field
-    and append the rows.
+def _add_lines(columns, text, handle, lines_before):
+    """The per-line path: read ``text``, whole lines, with :mod:`csv`, and
+    from ``handle`` the rest of a record a quoted field carries past it;
+    check every field, append the rows and return the lines read.
 
-    ``lines_before`` counts the file's lines ahead of ``lines``; when it is
-    0, ``lines`` starts with the header.
+    ``lines_before`` counts the file's lines ahead of ``text``; when it is
+    0, ``text`` starts with the header.
     """
-    reader = csv.reader(lines)
-    if lines_before == 0:
-        header = next(reader, None)
-        if header is None:
-            raise EmptyTraceError(f"{path}: empty trace file")
-        if tuple(header) != TRACE_HEADER:
-            raise TraceFormatError(1, f"bad header {header!r}")
+    head, spill, start = io.StringIO(text, newline=""), [], 0
+    reader = csv.reader(itertools.chain(head, (  # each line also in spill
+        spill.append(line) or line for line in iter(handle.readline, ""))))
     block = ([], [], [], [])
-    for row in reader:
-        line_no = lines_before + reader.line_num
-        if len(row) != 4:
-            raise TraceFormatError(
-                line_no, f"expected 4 fields, got {len(row)}"
-            )
-        for name, value, ids in zip(_ID_FIELDS, row, block):
-            ids.append(_parse_identifier(line_no, name, value))
-        block[3].append(_parse_timestamp(line_no, row[3]))
-        if len(block[3]) == _CHUNK_ROWS:
-            columns.add(*block[:3], np.array(block[3], dtype=np.int64))
-            block = ([], [], [], [])
+    try:
+        if lines_before == 0 and tuple(row := next(reader)) != TRACE_HEADER:
+            raise TraceFormatError(1, f"bad header {row!r}")
+        while (start := head.tell()) < len(text):
+            row = next(reader)
+            line_no = lines_before + reader.line_num
+            if len(row) != 4:
+                raise TraceFormatError(
+                    line_no, f"expected 4 fields, got {len(row)}"
+                )
+            for name, value, ids in zip(_ID_FIELDS, row, block):
+                ids.append(_parse_identifier(line_no, name, value))
+            block[3].append(_parse_timestamp(line_no, row[3]))
+    except (TraceFormatError, csv.Error) as exc:
+        # Rather the codec's error, at the record's first line not UTF-8.
+        lines = io.StringIO(text[start:head.tell()],
+                            newline="").readlines() + spill
+        for line_no, line in enumerate(
+                lines, lines_before + reader.line_num - len(lines) + 1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode()
+            except UnicodeDecodeError as bad:
+                exc = bad
+                break
+        if isinstance(exc, TraceFormatError):
+            raise
+        raise TraceFormatError(line_no, str(exc)) from None
     columns.add(*block[:3], np.array(block[3], dtype=np.int64))
+    return reader.line_num
 
 
 def _add_blocks(columns, handle, path):
-    """The fast path: the rows after the header, a block at a time, until
-    the end of the file or the first block :func:`_add_rows` rejects."""
-    lines_before = 1
-    pending = ""
-    while True:
-        text = handle.read(_CHUNK_CHARS)
-        block = pending + text
-        cut = block.rfind("\n") + 1 if text else len(block)
-        block, pending = block[:cut], block[cut:]
-        if block:
-            rows = block if block.endswith("\n") else block + "\n"
-            if not _add_rows(columns, rows):
-                # Complete the pending line, so the csv reader goes on from
-                # the handle at a line boundary.
-                head = io.StringIO(block + pending + handle.readline(),
-                                   newline="")
-                _add_lines(columns, itertools.chain(head, handle),
-                           lines_before, path)
-                return
+    """Add the file's rows a block of whole lines at a time: on the fast
+    path, or on the per-line path for a block :func:`_add_rows` rejects
+    and for a header that is not plain."""
+    if not (block := handle.readline()):
+        raise EmptyTraceError(f"{path}: empty trace file")
+    lines_before = (1 if block == _HEADER_LINE
+                    else _add_lines(columns, block, handle, 0))
+    while block := handle.read(_CHUNK_CHARS) + handle.readline():
+        if _add_rows(columns, block):
             lines_before += len(columns.blocks[3][-1])  # one stamp a row
-        if not text:
-            return
+        else:
+            lines_before += _add_lines(columns, block, handle, lines_before)
 
 
 def parse_trace(path):
@@ -721,8 +734,8 @@ def parse_trace(path):
     Raises
     ------
     TraceFormatError
-        Malformed header or line, or bytes that are not UTF-8; the error
-        names the line number.
+        Malformed header or line, bytes that are not UTF-8, or a field
+        :mod:`csv` refuses; the error names the first bad line.
     EmptyTraceError
         File contains a header but zero records.
     """
@@ -748,27 +761,12 @@ def _parse(path, digest):
     """:func:`parse_trace`, feeding each byte it reads, on the block path
     and the per-line path alike, to ``digest`` unless that is None."""
     columns = _Columns()
-    try:
-        with (open(path, "rb", buffering=0) as raw,
-              io.TextIOWrapper(io.BufferedReader(
-                  raw if digest is None else _Digesting(raw, digest)),
-                  encoding="utf-8", newline="") as handle):
-            header = handle.readline()
-            if header == _HEADER_LINE:
-                _add_blocks(columns, handle, path)
-            else:
-                head = io.StringIO(header, newline="")
-                _add_lines(columns, itertools.chain(head, handle), 0, path)
-    except UnicodeDecodeError:
-        # Its offset is in the decoder's buffer: drop the rows, find its line.
-        columns.blocks = columns.codes = None
-        with open(path, "rb") as handle:
-            for line_no, line in enumerate(handle, 1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise TraceFormatError(line_no, str(exc)) from None
-        raise
+    with (open(path, "rb", buffering=0) as raw,
+          io.TextIOWrapper(io.BufferedReader(
+              raw if digest is None else _Digesting(raw, digest)),
+              encoding="utf-8", errors="surrogateescape",
+              newline="") as handle):
+        _add_blocks(columns, handle, path)
     dataset = columns.build()
     if not dataset.total_visits:
         raise EmptyTraceError(f"{path}: trace contains zero records")
@@ -891,16 +889,17 @@ def _sidecar(path):
 
 def _write_sidecar(dataset, path, digest):
     """Keep the dataset in ``path``'s sidecar; a failed write leaves none."""
-    dataset._planning  # stored with the columns, so no hit builds it
-    # Every array is stored, an empty one for no timestamps: a damaged zip
-    # directory can drop a member, but each member's CRC is checked.
-    arrays = {name: np.asarray(dataset._arrays[name], dtype)
-              for name, dtype, *_ in _SIDECAR}
     # Made private; whoever may read the trace may read its sidecar.
     with suppress(OSError), _replacing([_sidecar(path)]) as (temp,):
         with open(temp, "wb", opener=lambda name, flags: os.open(
                 name, flags | os.O_EXCL, 0o600)) as handle:
-            np.savez(handle, key=_SIDECAR_KEY + digest.hexdigest(), **arrays)
+            # Built once the file is open, and stored so that no hit builds
+            # them, with every array, an empty one for no timestamps: a zip
+            # directory can lose a member, but each member's CRC is checked.
+            a = dataset._planning
+            np.savez(handle, key=_SIDECAR_KEY + digest.hexdigest(), **{
+                name: np.asarray(a[name], dtype)
+                for name, dtype, *_ in _SIDECAR})
         os.chmod(temp, os.stat(path).st_mode & 0o666)
 
 

@@ -267,6 +267,16 @@ class TestStats:
         assert len(rows) == 4
         assert [r[0] for r in rows] == ["1", "2", "3", "4"]
 
+    def test_field_csv_refuses_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        path.write_text("user_id,title_id,cell_id,timestamp\n"
+                        f'"{"a" * 200_000}",t,c,\n', encoding="utf-8")
+        out = tmp_path / "stats"
+        assert run(["stats", "--input", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr() == ("", "prepush: error: line 2: field "
+                                       "larger than field limit (131072)\n")
+        assert not out.exists()
+
     def test_output_that_is_the_input_is_refused(self, tmp_path, capsys):
         out = tmp_path / "out"
         path = gen_trace(out, name="geo_profile.csv")

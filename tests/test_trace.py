@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import os
 import pickle
+import stat
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -109,6 +111,77 @@ class TestParse:
         with pytest.raises(TraceFormatError) as exc:
             parse_trace(path)
         assert str(exc.value) == f"line 3: timestamp {top + 1} out of range"
+
+    @pytest.mark.parametrize("data, message", [
+        (HEADER.encode() + b"u1,t1,c1,\nu2,,c2,\nu3,t\xe93,c3,\n",
+         "line 3: empty title_id field"),
+        # A lone CR ends a line, as csv counts lines.
+        (HEADER.encode() + b"u1,t1,c1,\ru\xff,t,c,\n",
+         "line 3: 'utf-8' codec can't decode byte 0xff in position 1: "
+         "invalid start byte"),
+        (b"user_id,title_id,cell_id,time\xffstamp\nu1,t1,c1,\n",
+         "line 1: 'utf-8' codec can't decode byte 0xff in position 29: "
+         "invalid start byte"),
+        (b"user,title_id,cell_id,timestamp\nu\xff,t,c,\n",
+         "line 1: bad header ['user', 'title_id', 'cell_id', 'timestamp']"),
+        # The codec's message for the raw line, quotes and all.
+        (HEADER.encode() + b'"u\xff1",t1,c1,\n',
+         "line 2: 'utf-8' codec can't decode byte 0xff in position 2: "
+         "invalid start byte"),
+        # csv joins the field's bytes around the quote into valid UTF-8.
+        (HEADER.encode() + b'"x\xe2"\x82\xac,t,c,\n',
+         "line 2: 'utf-8' codec can't decode byte 0xe2 in position 2: "
+         "invalid continuation byte"),
+        # The record's first line that is not UTF-8, of the two it spans.
+        (HEADER.encode() + b'u1,t1,c1,\n"u\n\xff",t,c,\n',
+         "line 4: 'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
+        (HEADER.encode() + b"u1,t1,c1,\nu\xe2",
+         "line 3: 'utf-8' codec can't decode byte 0xe2 in position 1: "
+         "unexpected end of data"),
+    ], ids=["format_first", "lone_cr", "header", "bad_header_first",
+            "quoted", "spliced", "two_line_record", "truncated_at_end"])
+    def test_first_bad_line_is_named(self, tmp_path, data, message):
+        # Undecodable bytes fail their own row, read as the oracle reads
+        # them, so a parse error always names the first bad line.
+        path = tmp_path / "trace.csv"
+        path.write_bytes(data)
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace(path)
+        assert str(exc.value) == message
+        assert exc.value.line_no == oracle.read_trace(
+            data.decode("utf-8", "surrogateescape"))[0]
+
+    @pytest.mark.parametrize("rows_before", [0, 1000])
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_field_csv_refuses_names_its_line(self, tmp_path, quote,
+                                              rows_before):
+        name = quote + "a" * 200_000 + quote
+        path = write_text(tmp_path, HEADER + "u,t,c,\n" * rows_before
+                          + f"{name},t,c,\n")
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace(path)
+        assert str(exc.value) == (f"line {rows_before + 2}: field larger "
+                                  "than field limit (131072)")
+
+    def test_long_identifier_parses_in_bounded_memory(self, tmp_path):
+        # The block path's keys take a block's longest identifier's bytes
+        # for each row; a block with one long identifier is read by line.
+        peaks = []
+        for name in ("u1000", "u" * 4000):
+            dataset = build_indexes(
+                VisitRecord(name if i == 1000 else f"u{i % 997}",
+                            f"t{i % 499}", f"c{i % 61}", i)
+                for i in range(20_000))
+            path = tmp_path / f"{len(name)}.csv"
+            write_trace(dataset, path)
+            tracemalloc.start()
+            try:
+                assert parse_trace(path) == dataset
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
 
     def test_records_built_once(self, tmp_path):
         path = write_text(tmp_path, HEADER + "u1,t1,c1,\nu2,t1,c2,17\n")
@@ -227,6 +300,24 @@ class TestParseBlocks:
         monkeypatch.setattr(trace, "_CHUNK_ROWS", 6)
         assert parse_trace(path) == plain
 
+    @pytest.mark.parametrize("form", sorted(ODD_FORMS) + ["long_id"])
+    def test_odd_row_sends_only_its_block_by_line(self, tmp_path, lines,
+                                                  form):
+        # The first of the two blocks is read by line, the second is not.
+        odd = list(lines)
+        odd[5] = (odd[5].replace("title", "t" * 1000, 1) if form == "long_id"
+                  else ODD_FORMS[form](*odd[5].rstrip("\n").split(",")))
+        text = HEADER + "".join(odd)
+        path = write_text(tmp_path, text)
+        with (mock.patch.object(trace, "_add_rows",
+                                wraps=trace._add_rows) as by_block,
+              mock.patch.object(trace, "_add_lines",
+                                wraps=trace._add_lines) as by_line):
+            records = parse_trace(path).records
+        assert (by_block.call_count, by_line.call_count) == (2, 1)
+        assert [(r.user_id, r.title_id, r.cell_id, r.timestamp)
+                for r in records] == oracle.read_trace(text)
+
     def test_no_final_newline(self, tmp_path, lines, plain):
         path = write_text(tmp_path, HEADER + "".join(lines).rstrip("\n"))
         assert parse_trace(path) == plain
@@ -291,6 +382,13 @@ WORD_EDGE_TEXT = HEADER + "".join(",".join(row) + "\n"
                                   for row in WORD_EDGE_ROWS)
 WORD_EDGE_RECORDS = [VisitRecord(*ids, int(n) if n else None)
                      for *ids, n in WORD_EDGE_ROWS]
+#: Short rows, then one with an identifier long enough that its block of
+#: 400 characters is read line by line, and the blocks after it are not.
+LONG_ID_TEXT = (HEADER + "u,t,c,1\n" * 40 + "u," + "t" * 500 + ",c,\n"
+                + "u,t,c,2\n" * 60)
+#: A record whose quoted timestamp runs past its block of 40 characters.
+SPILL_TEXT = (HEADER + "u,t,c,1\n" * 4 + 'u,t,c,"12\n\n\n"\n'
+              + "u,t,c,2\n" * 10 + "u,,c,\n")
 
 
 def row_text(form, user, title, cell, number):
@@ -345,6 +443,8 @@ class TestBlockCheck:
     @given(trace_texts(), st.integers(8, 80))
     @example(WORD_EDGE_TEXT, 8)
     @example(WORD_EDGE_TEXT, _CHUNK_CHARS)
+    @example(LONG_ID_TEXT, 400)
+    @example(SPILL_TEXT, 40)
     @settings(max_examples=250, deadline=None)
     def test_parse_matches_csv_reader(self, tmp_path_factory, text, chunk):
         path = tmp_path_factory.mktemp("fuzz") / "trace.csv"
@@ -363,6 +463,19 @@ class TestBlockCheck:
             else:
                 assert [(r.user_id, r.title_id, r.cell_id, r.timestamp)
                         for r in parse_trace(path).records] == want
+
+
+    def test_bad_byte_past_the_block_names_its_line(self, tmp_path):
+        # Line 8, not the record's last line: the third of its lines that
+        # run past its first block.
+        data = SPILL_TEXT.encode().replace(b"12\n\n\n", b"12\n\n\xff\n")
+        path = tmp_path / "trace.csv"
+        path.write_bytes(data)
+        with (mock.patch.object(trace, "_CHUNK_CHARS", 40),
+              pytest.raises(TraceFormatError) as exc):
+            parse_trace(path)
+        assert str(exc.value) == ("line 8: 'utf-8' codec can't decode byte "
+                                  "0xff in position 0: invalid start byte")
 
 
 visit_records = st.builds(
@@ -1011,6 +1124,13 @@ class TestLoadTrace:
             np.savez(handle, key=f"prepush sidecar 1 sha256 {digest}", **old)
         assert trace.load_trace(path) == build_indexes(records)
         assert sidecar.read_bytes() == good
+
+    def test_fifo_at_the_sidecar_path_builds_no_tables(self, tmp_path):
+        path = write_text(tmp_path, HEADER + "u1,t1,c1,\n")
+        os.mkfifo(sidecar_of(path))
+        dataset = trace.load_trace(path)
+        assert "title_cells" not in dataset._arrays
+        assert stat.S_ISFIFO(sidecar_of(path).stat().st_mode)
 
     def test_no_timestamps_stores_an_empty_column(self, tmp_path):
         path = write_text(tmp_path, HEADER + "u1,t1,c1,\nu2,t1,c2,\n")
