@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .concentration import (
     CURVE_KINDS,
+    _checked_max_rank,
     concentration_curve,
     geo_concentration_profile,
 )
@@ -27,7 +28,9 @@ from .planning import (
     DEFAULT_COVERAGE_GRID,
     DEFAULT_LIMITED_COVERAGE,
     CostBreakdown,
+    _case_coverage,
     _traffic,
+    _validate_fraction_grid,
     sweep_coverage,
     titles_by_popularity,
 )
@@ -220,6 +223,7 @@ def _write_tables(args, tables):
 
 
 def _handle_stats(args):
+    _checked_max_rank(args.max_rank)
     dataset = load_trace(args.input)
     tables = [(f"{kind}_curve", ("fraction", "share"),
                concentration_curve(dataset, kind).points)
@@ -252,9 +256,11 @@ def _plan_rows(dataset, case, costs):
 
 
 def _handle_plan(args):
-    dataset = load_trace(args.input)
     case = MODE_CASES[args.mode]
-    # A bad ratio grid is reported before a bad coverage.
+    # Checked before the trace is read, the ratio grid before the coverage.
+    _validate_fraction_grid(args.ratio_grid, "ratio grid", low_open=False)
+    _case_coverage(case, args.coverage)
+    dataset = load_trace(args.input)
     curve, costs = _traffic(dataset, case, args.ratio_grid, args.coverage,
                             every_title=True)
     breakdown_rows, partition_rows = _plan_rows(dataset, case, costs)
@@ -294,6 +300,7 @@ def _select_sweep_titles(dataset, titles_arg):
 
 
 def _handle_sweep(args):
+    _validate_fraction_grid(args.coverage_grid, "coverage grid", low_open=True)
     dataset = load_trace(args.input)
     sweeps = [
         sweep_coverage(dataset, title, args.coverage_grid)

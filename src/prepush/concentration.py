@@ -129,6 +129,12 @@ def user_cell_shares(dataset, user):
     return [(cell, count / total) for cell, count in ordered]
 
 
+def _checked_max_rank(max_rank):
+    """The one check of a profile's ``max_rank``: at least 1."""
+    if max_rank < 1:
+        raise ValueError("max_rank must be at least 1")
+
+
 def geo_concentration_profile(dataset, max_rank):
     """Average cell-share profile over all users.
 
@@ -144,8 +150,7 @@ def geo_concentration_profile(dataset, max_rank):
         Per-rank means are unweighted across users: each user contributes
         their own share vector regardless of how many visits they made.
     """
-    if max_rank < 1:
-        raise ValueError("max_rank must be at least 1")
+    _checked_max_rank(max_rank)
     n_users = dataset.n_users
     if not n_users:
         raise EmptyTraceError("cannot profile an empty dataset")

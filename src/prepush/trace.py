@@ -18,8 +18,11 @@ functions in this package are pure reads over them.  :func:`write_trace`
 keeps a dataset's arrays and planning tables (about twice the columns'
 size) in a sidecar ``.<name>.prepush.npz`` keyed by the sha256 of the
 bytes written, as ``prepush gen`` does and :func:`load_trace` after parsing
-a trace without one; later reads wrap the stored arrays and build nothing.
-A stale, damaged or inconsistent sidecar is parsed over; any may be deleted.
+a trace without one.  Later reads build nothing: they check the key and
+every array's header, and read the vocabularies and the bounds arrays;
+every other array is read from the sidecar, its CRC and values checked,
+on first use.  A stale, damaged or inconsistent sidecar is parsed over,
+up front or on that first use; any may be deleted.
 
 Trace file format: UTF-8 text, one header line ``user_id,title_id,cell_id,
 timestamp``, comma-delimited rows, empty timestamp field allowed.
@@ -44,7 +47,9 @@ import os
 import re
 import stat
 import threading
+import weakref
 from collections import defaultdict
+from collections.abc import Mapping
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -110,6 +115,7 @@ _SIDECAR = (
     ("target_cells", np.int32, "targets", "cells"),
     ("title_cells", np.int64, "titles", None),
 )
+_MEMBERS = {name: spec for name, *spec in _SIDECAR}
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,7 +181,10 @@ class TraceDataset:
     ``.get`` and ``in`` work as on any dict.  The inner ``{cell: visits}``
     maps are plain dicts.  Python 3.11 locks a view's first build; from
     3.12 on, two threads that read an unbuilt view at once may each build
-    it, and either keeps an equal value.
+    it, and either keeps an equal value.  A dataset :func:`load_trace`
+    found in a sidecar reads each array on first use, one thread at a
+    time, so every thread gets the one array read; the sidecar stays open
+    until every array is read or the arrays are dropped.
 
     Placement and planning read two private indexes of integer arrays instead
     of sets of identifiers.  The *ranked index* holds each title's distinct
@@ -187,13 +196,14 @@ class TraceDataset:
     Targeting a title's first k ranked visitors is then two reads of each
     column; see :meth:`_targeting`.  ``_planning`` adds both to the arrays
     on first use, so a dataset never planned over never holds them, unless
-    :func:`load_trace` restored them with the columns.  ``title_users`` maps
+    it was read from a sidecar, which holds them.  ``title_users`` maps
     each title to the frozenset of its visitors.
     """
 
     def __init__(self, arrays):
         #: The arrays, named as in :data:`_SIDECAR` with the vocabularies
-        #: as object arrays; ``_planning`` adds its tables.
+        #: as object arrays: a dict, to which ``_planning`` adds its
+        #: tables, or a sidecar hit's :class:`_Stored`.
         self._arrays = arrays
 
     def __repr__(self):
@@ -201,7 +211,10 @@ class TraceDataset:
 
     @property
     def total_visits(self):
-        return len(self._arrays["codes0"])
+        a = self._arrays
+        # A sidecar hit has it from the column's header, not the column.
+        return (a._sizes["visits"] if isinstance(a, _Stored)
+                else len(a["codes0"]))
 
     @property
     def n_titles(self):
@@ -287,8 +300,8 @@ class TraceDataset:
 
     @cached_property
     def _planning(self):
-        """The arrays, with the tables added unless :func:`load_trace`
-        restored them: the ranked index ``ranked_{bounds,users}``, the
+        """The arrays, with the tables added unless a sidecar holds
+        them: the ranked index ``ranked_{bounds,users}``, the
         first-target table ``target_cells`` and its prefix columns
         ``ranked_{targets,hits,covered}``, and ``title_cells``, each title
         code's number of distinct cells.
@@ -773,57 +786,122 @@ def _parse(path, digest):
     return dataset
 
 
-def _read_sidecar(sidecar, key):
-    """The dataset ``sidecar`` holds under ``key``, or None: a stale,
-    damaged or crafted one is None if it is not a regular file, if any
-    :data:`_SIDECAR` member is missing, has another dtype or length, or
-    holds a value out of range, if ``ranked_targets`` does not count up
-    from 0 to its entries, or if a vocabulary holds an identifier the
-    trace format cannot, or one twice."""
+def _read_sidecar(path, key):
+    """The dataset the sidecar of the trace at ``path`` holds under ``key``,
+    or None for a stale, damaged or crafted one: if it is not a regular
+    file, if any :data:`_SIDECAR` member is missing or its ``.npy`` header
+    gives another dtype or length or no visits, or if a vocabulary or a
+    bounds array, the members read up front, fails :func:`_read_member`.
+    The others are read and checked on first use (:class:`_Stored`)."""
     try:
         # Not blocking, so that a FIFO at its path is a miss, not a hang.
-        with open(sidecar, "rb", opener=lambda name, flags: os.open(
-                name, flags | os.O_NONBLOCK)) as handle:
-            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-                return None
-            with np.load(handle, allow_pickle=False) as npz:
-                if str(npz["key"]) != key:
-                    return None
-                arrays = {name: npz[name] for name, *_ in _SIDECAR}
-        n = len(arrays["codes0"])
-        sizes = {"visits": n, "stamps": n if len(arrays["timestamps"]) else 0,
-                 "users": len(arrays["ids0"]), "titles": len(arrays["ids1"]),
-                 "cells": len(arrays["ids2"]),
-                 "targets": len(arrays["target_cells"])}
+        handle = open(_sidecar(path), "rb", opener=lambda name, flags:
+                      os.open(name, flags | os.O_NONBLOCK))
+    except OSError:
+        return None
+    try:
+        if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            raise ValueError("not a regular file")
+        npz = np.lib.npyio.NpzFile(handle)
+        if str(npz["key"]) != key:
+            raise ValueError("stale")
+        lengths = {}  # of each member, which must be 1-D
+        for name, (dtype, _, _) in _MEMBERS.items():
+            with npz.zip.open(name + ".npy") as member:
+                version = np.lib.format.read_magic(member)
+                (lengths[name],), _, stored = (
+                    np.lib.format.read_array_header_1_0 if version == (1, 0)
+                    else np.lib.format.read_array_header_2_0)(member)
+            if not (stored.kind == "S" if dtype == "S" else stored == dtype):
+                raise ValueError(f"{name} is not {dtype}")
+        if not (n := lengths["codes0"]):
+            raise ValueError("no visits")
+        sizes = {"visits": n, "stamps": n if lengths["timestamps"] else 0,
+                 "users": lengths["ids0"], "titles": lengths["ids1"],
+                 "cells": lengths["ids2"], "targets": lengths["target_cells"]}
+        arrays = {name: _read_member(npz, name, sizes)
+                  for name, (dtype, length, bound) in _MEMBERS.items()
+                  if dtype == "S" or bound and length.endswith("+1")}
         # A bounds array's last entry sizes the arrays it bounds.
         sizes.update((bound, int(arrays[name][-1]))
-                     for name, _, length, bound in _SIDECAR
+                     for name, (_, length, bound) in _MEMBERS.items()
                      if bound and length.endswith("+1"))
-        for name, dtype, length, bound in _SIDECAR:
-            array = arrays[name]
+        for name, (_, length, _) in _MEMBERS.items():
             size, plus, _ = length.partition("+")
-            if not ((array.dtype.kind == "S" if dtype == "S"
-                     else array.dtype == dtype)
-                    and array.shape == (sizes[size] + bool(plus),)):
-                return None
-            # An empty index array, as of no visits, raises: a miss too.
-            if bound and not (
-                    array[0] == 0 and (np.diff(array) > 0).all() if plus
-                    else 0 <= array.min() and array.max() < sizes[bound]):
-                return None
-        # Each ranked position reaches at most one new entry.
-        targets = arrays["ranked_targets"]
-        steps = np.diff(targets)
-        if not (targets[0] == 0 and targets[-1] == sizes["targets"]
-                and 0 <= steps.min() and steps.max() <= 1):
-            return None
-        for name in ("ids0", "ids1", "ids2"):
-            ids = arrays[name] = arrays[name].astype(str).astype(object)
-            if not _all_identifiers(ids) or len(set(ids)) < len(ids):
-                return None
+            if lengths[name] != sizes[size] + bool(plus):
+                raise ValueError(f"{name} has another length")
     except Exception:  # an unreadable sidecar, or non-ASCII identifiers
+        handle.close()
         return None
-    return TraceDataset(arrays)
+    return TraceDataset(_Stored(npz, handle, sizes, arrays, path, key))
+
+
+def _read_member(npz, name, sizes):
+    """Member ``name``, read through the zip, which checks its CRC;
+    ValueError unless its values are a trace's: a vocabulary's identifiers,
+    a bounds array's strictly rising from 0, ``ranked_targets`` counting up
+    by 0 or 1 to the entries, and any other bounded one's under its bound
+    in ``sizes`` (see :data:`_SIDECAR`)."""
+    dtype, length, bound = _MEMBERS[name]
+    array = npz[name]
+    if dtype == "S":
+        array = array.astype(str).astype(object)
+        valid = _all_identifiers(array) and len(set(array)) == len(array)
+    elif name == "ranked_targets":
+        # Each ranked position reaches at most one new entry.
+        steps = np.diff(array)
+        valid = (array[0] == 0 and array[-1] == sizes["targets"]
+                 and 0 <= steps.min() and steps.max() <= 1)
+    else:
+        # An empty index array, as of no visits, raises: a miss too.
+        valid = not bound or (
+            array[0] == 0 and (np.diff(array) > 0).all()
+            if length.endswith("+1")
+            else 0 <= array.min() and array.max() < sizes[bound])
+    if not valid:
+        raise ValueError(f"{name} holds values no trace gives")
+    return array
+
+
+class _Stored(Mapping):
+    """A sidecar hit's arrays: each member not read up front is read and
+    checked on first use, one thread at a time.  If that fails, the trace
+    is parsed over as on a miss, and the members not yet read come from
+    the parse, or OSError is raised if it changed after it was hashed."""
+
+    def __init__(self, npz, handle, sizes, arrays, path, key):
+        self._npz, self._sizes, self._read = npz, sizes, arrays
+        self._path, self._key, self._lock = path, key, threading.Lock()
+        # Closed once every member is read, or with the mapping.
+        self._close = weakref.finalize(self, handle.close)
+
+    def __iter__(self):
+        return iter(_MEMBERS)
+
+    def __len__(self):
+        return len(_MEMBERS)
+
+    def __contains__(self, name):
+        return name in _MEMBERS
+
+    def __getitem__(self, name):
+        with self._lock:
+            if name in _MEMBERS and name not in self._read:
+                self._load(name)
+        return self._read[name]
+
+    def _load(self, name):
+        try:
+            self._read[name] = _read_member(self._npz, name, self._sizes)
+        except Exception:  # a damaged member, as in _read_sidecar
+            dataset, key = _parsed(self._path)
+            if key != self._key:
+                raise OSError(f"{self._path}: changed while it was read; "
+                              "run again") from None
+            for member, array in dataset._planning.items():
+                self._read.setdefault(member, array)
+        if len(self._read) == len(_MEMBERS):
+            self._close()
 
 
 @contextmanager
@@ -873,14 +951,16 @@ def load_trace(path):
         return parse_trace(path)
     with open(path, "rb") as handle:
         key = _SIDECAR_KEY + hashlib.file_digest(handle, "sha256").hexdigest()
-    dataset = _read_sidecar(_sidecar(path), key)
-    if dataset is None:
-        # Keyed by the bytes parsed, which differ from those hashed above if
-        # the file was rewritten in between.
-        digest = hashlib.sha256()
-        dataset = _parse(path, digest)
-        _write_sidecar(dataset, path, digest)
-    return dataset
+    return _read_sidecar(path, key) or _parsed(path)[0]
+
+
+def _parsed(path):
+    """The miss: ``path`` parsed and kept in its sidecar, and the key of
+    the bytes parsed, which differ from those hashed if it was rewritten."""
+    digest = hashlib.sha256()
+    dataset = _parse(path, digest)
+    _write_sidecar(dataset, path, digest)
+    return dataset, _SIDECAR_KEY + digest.hexdigest()
 
 
 def _sidecar(path):

@@ -34,6 +34,10 @@ def run(argv):
     return main(argv)
 
 
+def refuse_parse(*args):
+    raise AssertionError("parsed a trace")
+
+
 def gen_trace(tmp_path, n_visits=1000, seed=42, name="trace.csv"):
     path = tmp_path / name
     code = run(
@@ -420,6 +424,31 @@ class TestPlan:
             assert message in capsys.readouterr().err
             assert not outdir.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["plan", "--ratio-grid", "0.9,0.1"], "increasing"),
+        (["sweep", "--coverage-grid", "0.5,0.2"], "increasing"),
+        (["plan", "--mode", "limited", "--coverage", "1.5"], "coverage"),
+        (["plan", "--ratio-grid", "0,nan"],
+         "ratio grid must be strictly increasing"),
+        (["plan", "--mode", "limited", "--coverage", "1.5",
+          "--ratio-grid", "0.9,0.1"],
+         "ratio grid must be strictly increasing"),
+        (["sweep", "--coverage-grid", "0.1,nan"],
+         "coverage grid must be strictly increasing"),
+        (["stats", "--max-rank", "0"], "max_rank must be at least 1"),
+    ])
+    def test_bad_argument_is_reported_before_the_trace_is_read(
+            self, tmp_path, capsys, monkeypatch, argv, message):
+        # On a trace without a sidecar, a bad argument costs no parse and
+        # writes no sidecar.
+        path = gen_trace(tmp_path)
+        sidecar_of(path).unlink()
+        monkeypatch.setattr(trace, "_parse", refuse_parse)
+        outdir = tmp_path / "out"
+        assert run([*argv, "--input", str(path), "--output", str(outdir)]) == 1
+        assert message in capsys.readouterr().err
+        assert not outdir.exists() and not sidecar_of(path).exists()
+
 
 class TestSweep:
     def test_argmin_matches_independent_rerun(self, tmp_path):
@@ -695,6 +724,79 @@ def test_commands_build_no_view(tmp_path, monkeypatch):
     refuse_views(monkeypatch, builder=trace._write_sidecar)
     path = gen_trace(tmp_path)  # runs `gen` under the same patch
     run_commands(tmp_path, path, "miss")
+
+
+#: The sidecar members a hit reads before any use: the vocabularies, and
+#: the bounds arrays whose last entries size the other members.
+UP_FRONT = {"ids0", "ids1", "ids2", "user_cell_bounds", "ranked_bounds"}
+CODES = {"codes0", "codes1", "codes2"}
+MEMBERS = [name for name, *_ in trace._SIDECAR]
+TABLES = set(MEMBERS[MEMBERS.index("ranked_bounds"):])
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["stats"], CODES | TABLES - UP_FRONT),
+    (["plan", "--mode", "perfect"], CODES),
+    (["plan", "--mode", "assumed"], CODES),
+    (["plan", "--mode", "limited"], CODES),
+    (["sweep"], CODES),
+])
+def test_a_hit_reads_only_the_members_its_command_uses(
+        tmp_path, monkeypatch, argv, unread):
+    def spy(npz, name, sizes):
+        reads.append(name)
+        return read_member(npz, name, sizes)
+
+    path = gen_trace(tmp_path)
+    reads, read_member = [], trace._read_member
+    monkeypatch.setattr(trace, "_read_member", spy)
+    monkeypatch.setattr(trace, "_parse", refuse_parse)
+    assert run([*argv, "--input", str(path),
+                "--output", str(tmp_path / "out")]) == 0
+    assert UP_FRONT <= set(reads) and not unread & set(reads)
+    assert len(reads) == len(set(reads))
+
+
+def hit_outputs(tmp_path, path, name):
+    """The output files of plan and then sweep, each run on ``path``."""
+    outputs = {}
+    for command, extra in (("plan", ["--mode", "assumed"]), ("sweep", [])):
+        outdir = tmp_path / f"{name}_{command}"
+        assert run([command, "--input", str(path), "--output", str(outdir),
+                    *extra]) == 0
+        outputs.update({(command, p.name): p.read_bytes()
+                        for p in outdir.iterdir()})
+    return outputs
+
+
+@pytest.mark.parametrize("damage", ["ranked_targets", "target_cells", "crc"])
+def test_damage_found_on_first_use_is_parsed_over(tmp_path, damage):
+    path = gen_trace(tmp_path, n_visits=5000)
+    sidecar = sidecar_of(path)
+    good = sidecar.read_bytes()
+    clean = hit_outputs(tmp_path, path, "clean")
+    with np.load(sidecar) as npz:
+        stored = {name: npz[name] for name in npz.files}
+    if damage == "crc":
+        # One bit inside a member that no value check reads and that is
+        # larger than one read of the zip: only its CRC can tell.
+        data = stored["ranked_covered"].tobytes()
+        assert len(data) > 4096 and good.count(data) == 1
+        at = good.index(data) + len(data) // 2
+        sidecar.write_bytes(good[:at] + bytes([good[at] ^ 1]) + good[at + 1:])
+    else:
+        array = stored[damage].copy()
+        if damage == "ranked_targets":
+            array[-1] += 1  # counts past the table's entries
+        else:
+            array[0] = len(stored["ids2"])  # a cell out of range
+        with open(sidecar, "wb") as handle:
+            np.savez(handle, **{**stored, damage: array})
+    assert sidecar.read_bytes() != good
+    with mock.patch.object(trace, "_parse", refuse_parse):
+        trace.load_trace(path)  # a hit: the damage shows on first use
+    assert hit_outputs(tmp_path, path, "damaged") == clean
+    assert sidecar.read_bytes() == good
 
 
 def test_commands_build_no_view_on_a_hit(tmp_path, monkeypatch):

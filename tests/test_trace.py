@@ -1,11 +1,14 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import os
 import pickle
 import stat
+import sys
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -1101,10 +1104,96 @@ class TestLoadTrace:
                       "repeated_id": ids[0]}[damage]
             self.rewrite(sidecar, **{f"ids{kind}": np.array(ids)})
         assert sidecar.read_bytes() != good
-        assert trace.load_trace(path) == build_indexes(records)
+        dataset = trace.load_trace(path)
+        assert dataset == build_indexes(records)
+        # Each member is checked on its first read.
+        for name, *_ in trace._SIDECAR:
+            dataset._arrays[name]
         assert sidecar.read_bytes() == good
         with mock.patch.object(trace, "_parse", refuse_parse):
             assert trace.load_trace(path).records == tuple(records)
+
+    def test_rewrite_between_hit_and_failed_check(self, tmp_path):
+        # A member found damaged after the trace was rewritten can come
+        # from neither trace: its read fails, the dataset goes on serving
+        # the sidecar's other members, and the new trace gets its own.
+        path = write_text(tmp_path, HEADER + "u1,t1,c1,\nu2,t1,c2,\n")
+        trace.load_trace(path)
+        with np.load(sidecar_of(path)) as npz:
+            self.rewrite(sidecar_of(path), codes1=npz["codes1"] + 1)
+        with mock.patch.object(trace, "_parse", refuse_parse):
+            dataset = trace.load_trace(path)
+        path.write_text(HEADER + "u1,t9,c1,\n", encoding="utf-8")
+        with pytest.raises(OSError, match="changed while it was read"):
+            dataset._arrays["codes1"]
+        assert dataset.title_visits == {"t1": 2}
+        assert dataset.user_visits == {"u1": 1, "u2": 1}
+        with mock.patch.object(trace, "_parse", refuse_parse):
+            assert as_tuples(trace.load_trace(path)) == [
+                ("u1", "t9", "c1", None)]
+
+    def test_threads_first_reading_a_member_share_one_read(
+            self, tmp_path, monkeypatch):
+        def spy(npz, name, sizes):
+            reads.append(name)
+            return read_member(npz, name, sizes)
+
+        path = tmp_path / "trace.csv"
+        write_trace(build_indexes(make_random_records(
+            seeded_rng(36), with_timestamps=True)), path)
+        reads, read_member = [], trace._read_member
+        monkeypatch.setattr(trace, "_read_member", spy)
+        with mock.patch.object(trace, "_parse", refuse_parse):
+            dataset = trace.load_trace(path)
+        names = [name for name, *_ in trace._SIDECAR]
+        got = [[] for _ in range(8)]
+        barrier = threading.Barrier(len(got))
+
+        def first_reads(out):
+            barrier.wait(timeout=30)
+            out.extend(dataset._arrays[name] for name in names)
+
+        threads = [threading.Thread(target=first_reads, args=(out,))
+                   for out in got]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        want = parse_trace(path)._planning
+        for out in got:
+            assert len(out) == len(names)
+            for name, array, first in zip(names, out, got[0]):
+                assert array is first and np.array_equal(array, want[name])
+        assert sorted(reads) == sorted(names)
+
+    def test_a_hit_closes_its_sidecar(self, tmp_path):
+        path = write_text(tmp_path, HEADER + "u1,t1,c1,5\nu2,t1,c2,\n")
+        trace.load_trace(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # Dropped with members unread, and read through.
+            trace.load_trace(path)._arrays["codes0"]
+            arrays = trace.load_trace(path)._arrays
+            assert all(len(arrays[name]) >= 0 for name in arrays)
+            assert not arrays._close.alive
+            del arrays
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
+
+    def test_a_hit_writes_the_trace_it_was_read_from(self, tmp_path):
+        path, copied = tmp_path / "trace.csv", tmp_path / "copy.csv"
+        write_trace(build_indexes(make_random_records(
+            seeded_rng(37), with_timestamps=True)), path)
+        with mock.patch.object(trace, "_parse", refuse_parse):
+            write_trace(trace.load_trace(path), copied)
+        assert copied.read_bytes() == path.read_bytes()
+        assert sidecar_of(copied).read_bytes() == sidecar_of(path).read_bytes()
 
     def test_version_1_sidecar_is_a_miss_and_replaced(self, tmp_path):
         records = make_random_records(seeded_rng(32), with_timestamps=True)
