@@ -29,7 +29,8 @@ from .planning import (
     DEFAULT_LIMITED_COVERAGE,
     CostBreakdown,
     _case_coverage,
-    _traffic,
+    _curve,
+    _title_costs,
     _validate_fraction_grid,
     sweep_coverage,
     titles_by_popularity,
@@ -261,8 +262,8 @@ def _handle_plan(args):
     _validate_fraction_grid(args.ratio_grid, "ratio grid", low_open=False)
     _case_coverage(case, args.coverage)
     dataset = load_trace(args.input)
-    curve, costs = _traffic(dataset, case, args.ratio_grid, args.coverage,
-                            every_title=True)
+    costs = _title_costs(dataset, case, args.coverage)
+    curve = _curve(dataset, args.ratio_grid, costs)
     breakdown_rows, partition_rows = _plan_rows(dataset, case, costs)
     baseline = dataset.total_visits
     _write_tables(args, [
@@ -276,21 +277,16 @@ def _handle_plan(args):
     return 0
 
 
-def _select_sweep_titles(dataset, titles_arg):
+def _select_sweep_titles(dataset, tokens):
     ordered = titles_by_popularity(dataset)
-    ranks = DEFAULT_SWEEP_RANKS
-    if titles_arg is not None:
-        tokens = [tok.strip() for tok in titles_arg.split(",") if tok.strip()]
-        if not tokens:
-            raise ValueError("--titles must name at least one rank or title id")
-        if not all(tok.isdigit() for tok in tokens):
-            return tokens
-        ranks = map(int, tokens)
+    if tokens is not None and not all(tok.isdigit() for tok in tokens):
+        return tokens
+    ranks = DEFAULT_SWEEP_RANKS if tokens is None else map(int, tokens)
     chosen = []
     for rank in ranks:
         if 1 <= rank <= len(ordered):
             chosen.append(ordered[rank - 1])
-        elif titles_arg is None:
+        elif tokens is None:
             print(f"skipping default rank {rank}: trace has only "
                   f"{len(ordered)} titles", file=sys.stderr)
         else:
@@ -301,10 +297,15 @@ def _select_sweep_titles(dataset, titles_arg):
 
 def _handle_sweep(args):
     _validate_fraction_grid(args.coverage_grid, "coverage grid", low_open=True)
+    tokens = None
+    if args.titles is not None:
+        tokens = [tok.strip() for tok in args.titles.split(",") if tok.strip()]
+        if not tokens:
+            raise ValueError("--titles must name at least one rank or title id")
     dataset = load_trace(args.input)
     sweeps = [
         sweep_coverage(dataset, title, args.coverage_grid)
-        for title in dict.fromkeys(_select_sweep_titles(dataset, args.titles))
+        for title in dict.fromkeys(_select_sweep_titles(dataset, tokens))
     ]
     tables = [(f"sweep_{s.title_id}", ("coverage", "total_transmissions"),
                list(zip(s.grid, s.costs))) for s in sweeps]

@@ -91,7 +91,7 @@ def _cost(dataset, title, case, coverage):
     coverage = _case_coverage(case, coverage)
     if case == CASE_PERFECT:
         code = dataset._title_code(title)
-        n_cells = int(dataset._planning["title_cells"][code])
+        n_cells = int(dataset._arrays["title_cells"][code])
         return CostBreakdown(title, case, coverage, n_cells, 0, n_cells)
     broadcast, missed = dataset._targeting(title, coverage)
     return CostBreakdown(title, case, coverage, broadcast, missed,
@@ -104,7 +104,7 @@ def _title_costs(dataset, case, coverage, n=None):
     regime's coverage and then lists in popularity order, ``cells``
     counting distinct visited cells and ``visits`` the unicast baseline."""
     coverage = _case_coverage(case, coverage)
-    arrays = dataset._planning
+    arrays = dataset._arrays
     codes = arrays["popularity"][:n]
     cells, visits = arrays["title_cells"][codes], arrays["title_counts"][codes]
     broadcast, hits, missed = cells, cells, 0 * visits
@@ -249,24 +249,22 @@ def traffic_vs_broadcast_ratio(dataset, mode, ratios,
     -------
     list of (ratio, total_transmissions)
     """
-    return _traffic(dataset, mode, ratios, coverage)[0]
-
-
-def _traffic(dataset, mode, ratios, coverage, every_title=False):
-    """:func:`traffic_vs_broadcast_ratio`'s curve, and the :func:`_title_costs`
-    columns it was taken from: of the popularity prefix its largest ratio
-    broadcasts, or of every title.  One costing pass serves both."""
     if mode not in TRAFFIC_MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     ratios = tuple(ratios)
     _validate_fraction_grid(ratios, "ratio grid", low_open=False)
-    counts = [ceil_count(p, dataset.n_titles) for p in ratios]
-    costs = _title_costs(dataset, mode, coverage,
-                         None if every_title else counts[-1])
+    return _curve(dataset, ratios, _title_costs(
+        dataset, mode, coverage, ceil_count(ratios[-1], dataset.n_titles)))
+
+
+def _curve(dataset, ratios, costs):
+    """The traffic curve over checked ``ratios`` from :func:`_title_costs`
+    columns of at least the popularity prefix its largest ratio
+    broadcasts."""
     # Each title the curve broadcasts changes the unicast total by its cost
     # less its visits.
     _, broadcast, _, missed, _, visits = costs
     changes = list(accumulate(map(sub, map(add, broadcast, missed), visits),
                               initial=0))
-    return [(p, dataset.total_visits + changes[k])
-            for p, k in zip(ratios, counts)], costs
+    total, n = dataset.total_visits, dataset.n_titles
+    return [(p, total + changes[ceil_count(p, n)]) for p in ratios]

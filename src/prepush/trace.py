@@ -7,22 +7,24 @@ other module consumes: per-user, per-title and per-cell visit counts, each
 user's cells, each title's visitors ranked by activity, and the cells
 targeting them brings in, counted along that ranking so that two reads
 cost targeting any prefix of it.  These are named arrays, the dataset's
-only state, declared once in :data:`_SIDECAR`.  One private builder derives
-every index with numpy over the code columns; :func:`parse_trace`,
-:func:`build_indexes` and ``synth.generate`` all feed it, and every map of
-identifiers is built from the arrays on first use and raises
-:class:`UnknownIdError` for an identifier the trace does not hold, as do
-the one-title and one-user queries that read one.  Datasets are immutable
-after construction and safe to share across threads; all analysis
-functions in this package are pure reads over them.  :func:`write_trace`
-keeps a dataset's arrays and planning tables (about twice the columns'
-size) in a sidecar ``.<name>.prepush.npz`` keyed by the sha256 of the
-bytes written, as ``prepush gen`` does and :func:`load_trace` after parsing
-a trace without one.  Later reads build nothing: they check the key and
-every array's header, and read the vocabularies and the bounds arrays;
-every other array is read from the sidecar, its CRC and values checked,
-on first use.  A stale, damaged or inconsistent sidecar is parsed over,
-up front or on that first use; any may be deleted.
+only state, declared once in :data:`_SIDECAR`; one rule holds them all: an
+array not held yet is made on first use, one thread at a time.  One
+private builder derives every index with numpy over the code columns, the
+planning tables on first use; :func:`parse_trace`, :func:`build_indexes`
+and ``synth.generate`` all feed it, and every map of identifiers is built
+from the arrays on first use and raises :class:`UnknownIdError` for an
+identifier the trace does not hold, as do the one-title and one-user
+queries that read one.  Datasets are immutable after construction and
+safe to share across threads; all analysis functions in this package are
+pure reads over them.  :func:`write_trace` keeps a dataset's arrays and
+planning tables (about twice the columns' size) in a sidecar
+``.<name>.prepush.npz`` keyed by the sha256 of the bytes written, as
+``prepush gen`` does and :func:`load_trace` after parsing a trace without
+one.  Later reads build nothing: they check the key and every array's
+header, and read the vocabularies and the bounds arrays; every other
+array is made by reading it, its CRC and values checked.  A stale,
+damaged or inconsistent sidecar is parsed over, up front or on that first
+use; any may be deleted.
 
 Trace file format: UTF-8 text, one header line ``user_id,title_id,cell_id,
 timestamp``, comma-delimited rows, empty timestamp field allowed.
@@ -52,7 +54,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -90,7 +92,9 @@ _SIDECAR_KEY = "prepush sidecar 4 sha256 "
 #: are sizes: of the visits, of each vocabulary, of the timestamps (the
 #: visits, or 0 for none), of the target cells, or the last entry of a
 #: bounds array, which is ``+1`` long and runs strictly up from 0 to its
-#: bound.  The members from ``ranked_bounds`` on are ``_planning``'s.
+#: bound.  A dataset's :class:`_Arrays` makes a member it does not hold yet
+#: on first use, one thread at a time: those from ``ranked_bounds`` on are
+#: :func:`_planning`'s.
 _SIDECAR = (
     ("ids0", "S", "users", None),
     ("ids1", "S", "titles", None),
@@ -181,10 +185,10 @@ class TraceDataset:
     ``.get`` and ``in`` work as on any dict.  The inner ``{cell: visits}``
     maps are plain dicts.  Python 3.11 locks a view's first build; from
     3.12 on, two threads that read an unbuilt view at once may each build
-    it, and either keeps an equal value.  A dataset :func:`load_trace`
-    found in a sidecar reads each array on first use, one thread at a
-    time, so every thread gets the one array read; the sidecar stays open
-    until every array is read or the arrays are dropped.
+    it, and either keeps an equal value.  An array not held yet is made on
+    first use, one thread at a time (:class:`_Arrays`), so every thread
+    gets the one array made; a sidecar hit's file stays open until every
+    array is read or the arrays are dropped.
 
     Placement and planning read two private indexes of integer arrays instead
     of sets of identifiers.  The *ranked index* holds each title's distinct
@@ -194,16 +198,14 @@ class TraceDataset:
     index count the entries reached before each position, their hit cells
     (cells the title was visited in) and the visits those cells cover.
     Targeting a title's first k ranked visitors is then two reads of each
-    column; see :meth:`_targeting`.  ``_planning`` adds both to the arrays
-    on first use, so a dataset never planned over never holds them, unless
-    it was read from a sidecar, which holds them.  ``title_users`` maps
-    each title to the frozenset of its visitors.
+    column; see :meth:`_targeting`.  Both are made on first use, so a built
+    dataset never planned over never holds them.  ``title_users`` maps each
+    title to the frozenset of its visitors.
     """
 
     def __init__(self, arrays):
-        #: The arrays, named as in :data:`_SIDECAR` with the vocabularies
-        #: as object arrays: a dict, to which ``_planning`` adds its
-        #: tables, or a sidecar hit's :class:`_Stored`.
+        #: The :class:`_Arrays`, named as in :data:`_SIDECAR` with the
+        #: vocabularies as object arrays.
         self._arrays = arrays
 
     def __repr__(self):
@@ -211,10 +213,7 @@ class TraceDataset:
 
     @property
     def total_visits(self):
-        a = self._arrays
-        # A sidecar hit has it from the column's header, not the column.
-        return (a._sizes["visits"] if isinstance(a, _Stored)
-                else len(a["codes0"]))
+        return self._arrays.visits
 
     @property
     def n_titles(self):
@@ -251,7 +250,7 @@ class TraceDataset:
     @cached_property
     def title_users(self):
         """Each title's distinct visitors, as a frozenset of user ids."""
-        a = self._planning
+        a = self._arrays
         bounds = a["ranked_bounds"].tolist()
         names = a["ids0"][a["ranked_users"]].tolist()
         return _IdMap("title", (
@@ -299,66 +298,11 @@ class TraceDataset:
             for key, start, stop in zip(ids.tolist(), bounds, bounds[1:])))
 
     @cached_property
-    def _planning(self):
-        """The arrays, with the tables added unless a sidecar holds
-        them: the ranked index ``ranked_{bounds,users}``, the
-        first-target table ``target_cells`` and its prefix columns
-        ``ranked_{targets,hits,covered}``, and ``title_cells``, each title
-        code's number of distinct cells.
-
-        ``targets[r]`` counts the entries first reached before ranked
-        position r, and ``hits[r]`` and ``covered[r]`` sum their hit cells
-        and covered visits; ranked positions s to e reach the entries
-        ``target_cells[targets[s]:targets[e]]``.
-        """
-        a = self._arrays
-        if "title_cells" in a:
-            return a
-        users, titles, cells = a["codes0"], a["codes1"], a["codes2"]
-        n_users, n_titles, n_cells = (len(a[f"ids{k}"]) for k in range(3))
-        ranks = a["user_ranks"]
-        # The ranked index: one sort of (title, user rank) keys, deduplicated.
-        keys = _counted(_pair_keys(titles, ranks[users], n_users))[0]
-        ranked_users = ranks.argsort()[keys % n_users].astype(np.int32)
-        ranked_titles = keys // n_users
-        del keys
-
-        # Each (title, target cell) pair at the first ranked position it
-        # appears at, with the visits the cell covers (0 where the title was
-        # never visited in it), looked up in ascending order of pairs.
-        top_cells = a["user_cells"][a["user_cell_bounds"][:-1]]
-        pairs, first = _distinct(ranked_titles * n_cells
-                                 + top_cells[ranked_users])[:2]
-        tc_keys, tc_counts = _counted(_pair_keys(titles, cells, n_cells))
-        at = tc_keys.searchsorted(pairs).clip(max=len(tc_keys) - 1)
-        covers = np.where(tc_keys[at] == pairs, tc_counts[at], 0)
-        title_cells = np.bincount(tc_keys // n_cells)
-        del pairs, at, tc_keys, tc_counts
-        order = first.argsort()
-        first, covers = first[order], covers[order]
-        # Each prefix column steps at the positions that reach a new entry.
-        prefix = {}
-        for name, dtype, step in (("ranked_targets", np.int32, 1),
-                                  ("ranked_hits", np.int32, covers > 0),
-                                  ("ranked_covered", np.int64, covers)):
-            prefix[name] = np.zeros(len(ranked_users) + 1, dtype=dtype)
-            prefix[name][first + 1] = step
-            np.cumsum(prefix[name], out=prefix[name])
-        # One update, so that a reader who finds title_cells finds every
-        # table.
-        a.update({
-            "ranked_bounds": _bounds(ranked_titles, n_titles),
-            "ranked_users": ranked_users, **prefix,
-            "target_cells": top_cells[ranked_users[first]].astype(np.int32),
-            "title_cells": title_cells})
-        return a
-
-    @cached_property
     def _title_index(self):
         """The one-title queries' tables, read a Python object at a time:
         each title id's code, by code its ranked bounds and visits, the cell
         ids, and memoryviews of ``ranked_{targets,covered}, target_cells``."""
-        a = self._planning
+        a = self._arrays
         return (_IdMap("title", zip(a["ids1"].tolist(), itertools.count())),
                 a["ranked_bounds"].tolist(), a["title_counts"].tolist(),
                 a["ids2"].tolist(), *map(memoryview, (
@@ -537,7 +481,7 @@ def _from_columns(vocabularies, users, titles, cells, timestamps=None):
     uc_users, uc_cells = np.divmod(uc_keys, n_cells)
     top = np.lexsort((_id_ranks(cell_ids)[uc_cells], -uc_counts, uc_users))
 
-    return TraceDataset({
+    a = {
         "ids0": user_ids, "ids1": title_ids, "ids2": cell_ids,
         "codes0": users, "codes1": titles, "codes2": cells,
         "timestamps": timestamps,
@@ -551,7 +495,56 @@ def _from_columns(vocabularies, users, titles, cells, timestamps=None):
         "user_cell_bounds": _bounds(uc_users, n_users),
         "user_cells": uc_cells[top],
         "user_cell_counts": uc_counts[top],
-    })
+    }
+    return TraceDataset(_Arrays(a, lambda name: _planning(a), len(users),
+                                lambda: None))
+
+
+def _planning(a):
+    """The planning tables of the arrays ``a`` holds: the ranked index
+    ``ranked_{bounds,users}``, the first-target table ``target_cells`` and
+    its prefix columns ``ranked_{targets,hits,covered}``, and
+    ``title_cells``, each title code's number of distinct cells.
+
+    ``targets[r]`` counts the entries first reached before ranked position
+    r, and ``hits[r]`` and ``covered[r]`` sum their hit cells and covered
+    visits; ranked positions s to e reach the entries
+    ``target_cells[targets[s]:targets[e]]``.
+    """
+    users, titles, cells = a["codes0"], a["codes1"], a["codes2"]
+    n_users, n_titles, n_cells = (len(a[f"ids{k}"]) for k in range(3))
+    ranks = a["user_ranks"]
+    # The ranked index: one sort of (title, user rank) keys, deduplicated.
+    keys = _counted(_pair_keys(titles, ranks[users], n_users))[0]
+    ranked_users = ranks.argsort()[keys % n_users].astype(np.int32)
+    ranked_titles = keys // n_users
+    del keys
+
+    # Each (title, target cell) pair at the first ranked position it
+    # appears at, with the visits the cell covers (0 where the title was
+    # never visited in it), looked up in ascending order of pairs.
+    top_cells = a["user_cells"][a["user_cell_bounds"][:-1]]
+    pairs, first = _distinct(ranked_titles * n_cells
+                             + top_cells[ranked_users])[:2]
+    tc_keys, tc_counts = _counted(_pair_keys(titles, cells, n_cells))
+    at = tc_keys.searchsorted(pairs).clip(max=len(tc_keys) - 1)
+    covers = np.where(tc_keys[at] == pairs, tc_counts[at], 0)
+    title_cells = np.bincount(tc_keys // n_cells)
+    del pairs, at, tc_keys, tc_counts
+    order = first.argsort()
+    first, covers = first[order], covers[order]
+    # Each prefix column steps at the positions that reach a new entry.
+    prefix = {}
+    for name, dtype, step in (("ranked_targets", np.int32, 1),
+                              ("ranked_hits", np.int32, covers > 0),
+                              ("ranked_covered", np.int64, covers)):
+        prefix[name] = np.zeros(len(ranked_users) + 1, dtype=dtype)
+        prefix[name][first + 1] = step
+        np.cumsum(prefix[name], out=prefix[name])
+    return {"ranked_bounds": _bounds(ranked_titles, n_titles),
+            "ranked_users": ranked_users, **prefix,
+            "target_cells": top_cells[ranked_users[first]].astype(np.int32),
+            "title_cells": title_cells}
 
 
 def build_indexes(records):
@@ -792,7 +785,7 @@ def _read_sidecar(path, key):
     file, if any :data:`_SIDECAR` member is missing or its ``.npy`` header
     gives another dtype or length or no visits, or if a vocabulary or a
     bounds array, the members read up front, fails :func:`_read_member`.
-    The others are read and checked on first use (:class:`_Stored`)."""
+    The others are read and checked on first use (:func:`_read_or_parse`)."""
     try:
         # Not blocking, so that a FIFO at its path is a miss, not a hang.
         handle = open(_sidecar(path), "rb", opener=lambda name, flags:
@@ -833,7 +826,8 @@ def _read_sidecar(path, key):
     except Exception:  # an unreadable sidecar, or non-ASCII identifiers
         handle.close()
         return None
-    return TraceDataset(_Stored(npz, handle, sizes, arrays, path, key))
+    return TraceDataset(_Arrays(arrays, partial(_read_or_parse, npz, sizes,
+                                                path, key), n, handle.close))
 
 
 def _read_member(npz, name, sizes):
@@ -863,17 +857,32 @@ def _read_member(npz, name, sizes):
     return array
 
 
-class _Stored(Mapping):
-    """A sidecar hit's arrays: each member not read up front is read and
-    checked on first use, one thread at a time.  If that fails, the trace
-    is parsed over as on a miss, and the members not yet read come from
-    the parse, or OSError is raised if it changed after it was hashed."""
+def _read_or_parse(npz, sizes, path, key, name):
+    """Member ``name`` of a sidecar hit, read and checked; if that fails,
+    every member from the trace parsed over as on a miss, or OSError if it
+    changed after it was hashed under ``key``."""
+    try:
+        return {name: _read_member(npz, name, sizes)}
+    except Exception:  # a damaged member, as in _read_sidecar
+        dataset, parsed = _parsed(path)
+        if parsed != key:
+            raise OSError(f"{path}: changed while it was read; "
+                          "run again") from None
+        return dataset._arrays
 
-    def __init__(self, npz, handle, sizes, arrays, path, key):
-        self._npz, self._sizes, self._read = npz, sizes, arrays
-        self._path, self._key, self._lock = path, key, threading.Lock()
-        # Closed once every member is read, or with the mapping.
-        self._close = weakref.finalize(self, handle.close)
+
+class _Arrays(Mapping):
+    """A dataset's arrays, named as in :data:`_SIDECAR`: those in ``held``,
+    and each other made on first use, one thread at a time, by
+    ``make(name)``, which returns a mapping of the arrays it made; those
+    not held yet are kept.  ``visits`` is the trace's visit count, and
+    ``close`` runs once every array is held, or when the arrays are
+    dropped."""
+
+    def __init__(self, held, make, visits, close):
+        self._held, self._make, self.visits = held, make, visits
+        self._lock = threading.Lock()
+        self._close = weakref.finalize(self, close)
 
     def __iter__(self):
         return iter(_MEMBERS)
@@ -886,22 +895,12 @@ class _Stored(Mapping):
 
     def __getitem__(self, name):
         with self._lock:
-            if name in _MEMBERS and name not in self._read:
-                self._load(name)
-        return self._read[name]
-
-    def _load(self, name):
-        try:
-            self._read[name] = _read_member(self._npz, name, self._sizes)
-        except Exception:  # a damaged member, as in _read_sidecar
-            dataset, key = _parsed(self._path)
-            if key != self._key:
-                raise OSError(f"{self._path}: changed while it was read; "
-                              "run again") from None
-            for member, array in dataset._planning.items():
-                self._read.setdefault(member, array)
-        if len(self._read) == len(_MEMBERS):
-            self._close()
+            if name in _MEMBERS and name not in self._held:
+                for member, array in self._make(name).items():
+                    self._held.setdefault(member, array)
+                if len(self._held) == len(_MEMBERS):
+                    self._close()
+        return self._held[name]
 
 
 @contextmanager
@@ -976,7 +975,7 @@ def _write_sidecar(dataset, path, digest):
             # Built once the file is open, and stored so that no hit builds
             # them, with every array, an empty one for no timestamps: a zip
             # directory can lose a member, but each member's CRC is checked.
-            a = dataset._planning
+            a = dataset._arrays
             np.savez(handle, key=_SIDECAR_KEY + digest.hexdigest(), **{
                 name: np.asarray(a[name], dtype)
                 for name, dtype, *_ in _SIDECAR})

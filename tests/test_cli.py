@@ -308,6 +308,24 @@ class TestStats:
         assert "error" in capsys.readouterr().err
 
 
+#: Arguments a command refuses with exit 1, and part of its message.
+BAD_ARGUMENTS = [
+    (["plan", "--ratio-grid", "0.9,0.1"], "increasing"),
+    (["sweep", "--coverage-grid", "0.5,0.2"], "increasing"),
+    (["plan", "--mode", "limited", "--coverage", "1.5"], "coverage"),
+    (["plan", "--ratio-grid", "0,nan"],
+     "ratio grid must be strictly increasing"),
+    # The ratio grid is checked before the coverage.
+    (["plan", "--mode", "limited", "--coverage", "1.5",
+      "--ratio-grid", "0.9,0.1"],
+     "ratio grid must be strictly increasing"),
+    (["sweep", "--coverage-grid", "0.1,nan"],
+     "coverage grid must be strictly increasing"),
+    (["stats", "--max-rank", "0"], "max_rank must be at least 1"),
+    (["sweep", "--titles", ","], "--titles must name at least one"),
+]
+
+
 class TestPlan:
     def test_ratio_zero_row_is_baseline(self, tmp_path):
         trace = gen_trace(tmp_path, n_visits=800)
@@ -405,38 +423,14 @@ class TestPlan:
         # Arguments are checked before anything is written: a failing
         # command leaves no output directory behind.
         trace = gen_trace(tmp_path)
-        for argv, message in (
-            (["plan", "--ratio-grid", "0.9,0.1"], "increasing"),
-            (["sweep", "--coverage-grid", "0.5,0.2"], "increasing"),
-            (["plan", "--mode", "limited", "--coverage", "1.5"], "coverage"),
-            (["plan", "--ratio-grid", "0,nan"],
-             "ratio grid must be strictly increasing"),
-            # The ratio grid is checked before the coverage.
-            (["plan", "--mode", "limited", "--coverage", "1.5",
-              "--ratio-grid", "0.9,0.1"],
-             "ratio grid must be strictly increasing"),
-            (["sweep", "--coverage-grid", "0.1,nan"],
-             "coverage grid must be strictly increasing"),
-        ):
+        for argv, message in BAD_ARGUMENTS:
             outdir = tmp_path / "out"
             code = run([*argv, "--input", str(trace), "--output", str(outdir)])
             assert code == 1
             assert message in capsys.readouterr().err
             assert not outdir.exists()
 
-    @pytest.mark.parametrize("argv, message", [
-        (["plan", "--ratio-grid", "0.9,0.1"], "increasing"),
-        (["sweep", "--coverage-grid", "0.5,0.2"], "increasing"),
-        (["plan", "--mode", "limited", "--coverage", "1.5"], "coverage"),
-        (["plan", "--ratio-grid", "0,nan"],
-         "ratio grid must be strictly increasing"),
-        (["plan", "--mode", "limited", "--coverage", "1.5",
-          "--ratio-grid", "0.9,0.1"],
-         "ratio grid must be strictly increasing"),
-        (["sweep", "--coverage-grid", "0.1,nan"],
-         "coverage grid must be strictly increasing"),
-        (["stats", "--max-rank", "0"], "max_rank must be at least 1"),
-    ])
+    @pytest.mark.parametrize("argv, message", BAD_ARGUMENTS)
     def test_bad_argument_is_reported_before_the_trace_is_read(
             self, tmp_path, capsys, monkeypatch, argv, message):
         # On a trace without a sidecar, a bad argument costs no parse and
@@ -685,21 +679,23 @@ COMMANDS = (
 
 def refuse_views(monkeypatch, builder=None):
     """Refuse every view, and a build of the planning tables anywhere but
-    in the function ``builder``; built tables are read as before."""
+    under the function ``builder``; built tables are read as before."""
     def refuse(self):
         raise AssertionError("a command built a view")
 
-    built = TraceDataset._planning
+    built = trace._planning
 
-    def planning(self):
-        if ("title_cells" not in self._arrays and sys._getframe(1).f_code
-                is not getattr(builder, "__code__", None)):
-            raise AssertionError("a command built the planning tables")
-        return built.func(self)
+    def planning(a):
+        frame = sys._getframe(1)
+        while frame.f_code is not getattr(builder, "__code__", None):
+            frame = frame.f_back
+            if frame is None:
+                raise AssertionError("a command built the planning tables")
+        return built(a)
 
     for view in VIEWS:
         monkeypatch.setattr(TraceDataset, view, property(refuse))
-    monkeypatch.setattr(TraceDataset, "_planning", property(planning))
+    monkeypatch.setattr(trace, "_planning", planning)
 
 
 def run_commands(tmp_path, path, state):

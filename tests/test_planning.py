@@ -523,7 +523,7 @@ class TestFirstTargetTable:
         # Targeting the first k ranked visitors reads each prefix column at
         # the title's start s and at s + k, for every k from 0 to n.
         for ds in self.built_and_hit(records, tmp_path_factory):
-            a = ds._planning
+            a = ds._arrays
             targets, hits, covered = (a[f"ranked_{name}"] for name in
                                       ("targets", "hits", "covered"))
             for title, visits in ds.title_visits.items():

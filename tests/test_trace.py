@@ -7,6 +7,7 @@ import pickle
 import stat
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -793,7 +794,7 @@ def test_conservation_property(records):
 def test_ranked_targets_count_entries_property(records):
     # Each ranked position reaches at most one new target cell, and the
     # count runs from 0 to every entry.
-    a = build_indexes(records)._planning
+    a = build_indexes(records)._arrays
     targets = a["ranked_targets"]
     assert targets[0] == 0 and targets[-1] == len(a["target_cells"])
     assert set(np.diff(targets).tolist()) <= {0, 1}
@@ -833,13 +834,46 @@ def test_a_dataset_is_its_arrays(tmp_path):
     with mock.patch.object(trace, "_parse", refuse_parse):
         hit = trace.load_trace(path)
     # Beside the arrays, an instance holds only the views read so far: the
-    # sidecar write read the planning tables, which are the arrays.
-    assert vars(hit).keys() == {"_arrays"}
-    assert vars(miss).keys() == {"_arrays", "_planning"}
-    assert miss._planning is miss._arrays
+    # sidecar write made the planning tables, which are arrays.
+    assert vars(hit).keys() == vars(miss).keys() == {"_arrays"}
     assert list(hit._arrays) == list(miss._arrays) == [
         name for name, *_ in trace._SIDECAR]
     assert repr(hit) == repr(miss) == "TraceDataset(total_visits=2)"
+
+
+def test_threads_first_reading_a_built_dataset_plan_once(monkeypatch):
+    # A built dataset makes its planning tables on first use, one thread at
+    # a time, as a sidecar hit reads its members.
+    def spy(a):
+        calls.append(a)
+        time.sleep(0.05)  # so that the other threads ask meanwhile
+        return planning(a)
+
+    records = make_random_records(seeded_rng(38), with_timestamps=True)
+    calls, planning = [], trace._planning
+    monkeypatch.setattr(trace, "_planning", spy)
+    dataset = build_indexes(records)
+    names = [name for name, *_ in trace._SIDECAR]
+    got = [[] for _ in range(8)]
+    barrier = threading.Barrier(len(got))
+
+    def first_reads(out):
+        barrier.wait(timeout=30)
+        out.extend(dataset._arrays[name] for name in names)
+
+    threads = [threading.Thread(target=first_reads, args=(out,))
+               for out in got]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(calls) == 1
+    want = build_indexes(records)._arrays
+    for out in got:
+        assert len(out) == len(names)
+        for name, array, first in zip(names, out, got[0]):
+            assert array is first and np.array_equal(array, want[name])
 
 
 #: Each map of identifiers a dataset holds, by the kind of its keys.
@@ -899,7 +933,6 @@ class TestLoadTrace:
                     trace.load_trace(path)
             else:
                 parsed = parse_trace(path)
-                parsed._planning
                 miss = trace.load_trace(path)
                 with mock.patch.object(trace, "_parse", refuse_parse):
                     hit = trace.load_trace(path)
@@ -955,7 +988,6 @@ class TestLoadTrace:
             assert trace.load_trace(path).title_visits == {"t9": 1}
         path.write_text(before, encoding="utf-8")
         parsed = parse_trace(path)
-        parsed._planning
         assert parsed.title_visits == {"t1": 2}
         miss = trace.load_trace(path)
         with mock.patch.object(trace, "_parse", refuse_parse):
@@ -1165,7 +1197,7 @@ class TestLoadTrace:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        want = parse_trace(path)._planning
+        want = parse_trace(path)._arrays
         for out in got:
             assert len(out) == len(names)
             for name, array, first in zip(names, out, got[0]):
@@ -1215,10 +1247,13 @@ class TestLoadTrace:
         assert sidecar.read_bytes() == good
 
     def test_fifo_at_the_sidecar_path_builds_no_tables(self, tmp_path):
+        def refuse_planning(a):
+            raise AssertionError("built the planning tables")
+
         path = write_text(tmp_path, HEADER + "u1,t1,c1,\n")
         os.mkfifo(sidecar_of(path))
-        dataset = trace.load_trace(path)
-        assert "title_cells" not in dataset._arrays
+        with mock.patch.object(trace, "_planning", refuse_planning):
+            trace.load_trace(path)
         assert stat.S_ISFIFO(sidecar_of(path).stat().st_mode)
 
     def test_no_timestamps_stores_an_empty_column(self, tmp_path):
@@ -1275,7 +1310,6 @@ class TestLoadTrace:
         for thread in threads:
             thread.join()
         parsed = parse_trace(path)
-        parsed._planning
         for dataset in got:
             assert_same_fields(dataset, parsed)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
