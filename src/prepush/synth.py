@@ -23,6 +23,11 @@ from .trace import _from_columns
 #: 4% is spread uniformly over the rest of the user's cells.
 DEFAULT_GEO_PROFILE = (0.58, 0.22, 0.09, 0.05, 0.02)
 
+#: Uniforms :func:`_draw` takes per chunk, and its guide table's entries (a
+#: power of two, so each entry is an exact lower bound).
+_CHUNK = 1 << 18
+_GUIDE = 1 << 16
+
 
 @dataclass(frozen=True)
 class SynthParams:
@@ -97,13 +102,31 @@ def _ids(prefix, n):
     return [f"{prefix}{k:0{width}d}" for k in range(1, n + 1)]
 
 
+def _draw(rng, pmf, size):
+    """``rng.choice(len(pmf), size, p=pmf)`` as int32 codes, leaving ``rng``
+    in the same state: a chunk of uniforms at a time, each looked up in a
+    guide table of exact lower bounds and searched for only past it."""
+    cdf = pmf.cumsum()
+    cdf /= cdf[-1]
+    guide = cdf.searchsorted(np.arange(_GUIDE) / _GUIDE, "right")
+    codes = np.empty(size, dtype=np.int32)
+    for start in range(0, size, _CHUNK):
+        u = rng.random(min(_CHUNK, size - start))
+        found = guide[(u * _GUIDE).astype(np.intp)]
+        short = np.flatnonzero(cdf[found] <= u)
+        found[short] = cdf.searchsorted(u[short], "right")
+        codes[start:start + len(u)] = found
+    return codes
+
+
 def generate(params):
     """Generate a seeded synthetic trace as an indexed dataset.
 
     Draw order is fixed (user cell assignments, then users, titles, and
-    cell slots for all visits), so identical params give a bit-identical
-    dataset.  Title and user identifiers encode popularity/activity rank:
-    ``t0001`` is the most popular title by construction.
+    cell slots for all visits), and each draw equals ``rng.choice``'s with
+    the same weights, so identical params give a bit-identical dataset with
+    int32 codes.  Title and user identifiers encode popularity/activity
+    rank: ``t0001`` is the most popular title by construction.
 
     Parameters
     ----------
@@ -116,28 +139,24 @@ def generate(params):
     """
     rng = np.random.default_rng(params.seed)
     weights = params.cell_weights()
-    slots = len(weights)
-    weights = weights / weights.sum()
+    slots, n = len(weights), params.n_visits
 
-    user_cells = np.empty((params.n_users, slots), dtype=np.int64)
+    user_cells = np.empty((params.n_users, slots), dtype=np.int32)
     for u in range(params.n_users):
         user_cells[u] = rng.choice(params.n_cells, size=slots, replace=False)
 
-    users = rng.choice(
-        params.n_users,
-        size=params.n_visits,
-        p=_zipf_pmf(params.n_users, params.user_zipf_exponent),
-    )
-    titles = rng.choice(
-        params.n_titles,
-        size=params.n_visits,
-        p=_zipf_pmf(params.n_titles, params.title_zipf_exponent),
-    )
-    slot_draws = rng.choice(slots, size=params.n_visits, p=weights)
-    cells = user_cells[users, slot_draws]
-
+    users = _draw(rng, _zipf_pmf(params.n_users, params.user_zipf_exponent), n)
+    titles = _draw(rng, _zipf_pmf(params.n_titles, params.title_zipf_exponent),
+                   n)
+    cells = _draw(rng, weights / weights.sum(), n)
+    for start in range(0, n, _CHUNK):  # each chunk of slots becomes cells
+        rows = slice(start, start + _CHUNK)
+        cells[rows] = user_cells[users[rows], cells[rows]]
+    # Popped into the call, so each column goes once renumbered.
+    columns = [users, titles, cells]
+    del users, titles, cells
     return _from_columns(
         (_ids("u", params.n_users), _ids("t", params.n_titles),
          _ids("c", params.n_cells)),
-        users, titles, cells,
+        columns.pop(0), columns.pop(0), columns.pop(0),
     )

@@ -466,9 +466,10 @@ def _from_columns(vocabularies, users, titles, cells, timestamps=None):
     :data:`_NO_TIMESTAMP` for a missing value, or None if no visit has
     one.
     """
-    (user_ids, users), (title_ids, titles), (cell_ids, cells) = (
-        _first_appearance(ids, codes)
-        for ids, codes in zip(vocabularies, (users, titles, cells)))
+    # One at a time, so a raw column no caller holds goes once renumbered.
+    user_ids, users = _first_appearance(vocabularies[0], users)
+    title_ids, titles = _first_appearance(vocabularies[1], titles)
+    cell_ids, cells = _first_appearance(vocabularies[2], cells)
     if timestamps is None or (timestamps == _NO_TIMESTAMP).all():
         timestamps = np.zeros(0, dtype=np.int64)
     n_users, n_titles, n_cells = len(user_ids), len(title_ids), len(cell_ids)

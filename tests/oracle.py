@@ -1,9 +1,9 @@
 """Brute-force re-derivations used as independent test oracles.
 
 Every function here recomputes its answer by scanning a raw record list
-(:func:`read_trace` scans file text), never by consulting TraceDataset
-indexes or the library's own helpers, so the tests compare two genuinely
-separate paths.  Fractions of counts are
+(:func:`read_trace` scans file text, and :func:`synthetic_rows` draws one),
+never by consulting TraceDataset indexes or the library's own helpers, so
+the tests compare two genuinely separate paths.  Fractions of counts are
 resolved with exact rational arithmetic (`fractions.Fraction`).  A float
 stands for the simplest fraction whose nearest double it is: 0.1 is
 exactly 1/10 (its decimal value) and 1/3 is one third, not the binary
@@ -16,6 +16,8 @@ import math
 import re
 from fractions import Fraction
 from itertools import accumulate
+
+import numpy as np
 
 #: Largest denominator :func:`as_fraction` searches.
 MAX_DENOMINATOR = 10**6
@@ -234,3 +236,36 @@ def geo_profile(records, max_rank):
     means = [s / len(user_cells) for s in sums]
     active = sum(map(len, user_cells.values())) / len(user_cells)
     return tuple(means), tuple(accumulate(means)), active
+
+
+def synthetic_rows(params):
+    """The (user, title, cell) identifier rows of ``synth.generate(params)``
+    in visit order, drawn as whole columns by ``rng.choice``: the same
+    draws from the same stream, in the same order."""
+    rng = np.random.default_rng(params.seed)
+    weights = params.cell_weights()
+    slots = len(weights)
+    weights = weights / weights.sum()
+
+    def zipf(n, exponent):
+        w = np.arange(1, n + 1, dtype=float) ** -exponent
+        return w / w.sum()
+
+    def ids(prefix, n):
+        return [f"{prefix}{k:0{len(str(n))}d}" for k in range(1, n + 1)]
+
+    user_cells = np.empty((params.n_users, slots), dtype=np.int64)
+    for u in range(params.n_users):
+        user_cells[u] = rng.choice(params.n_cells, size=slots, replace=False)
+    n = params.n_visits
+    users = rng.choice(params.n_users, size=n,
+                       p=zipf(params.n_users, params.user_zipf_exponent))
+    titles = rng.choice(params.n_titles, size=n,
+                        p=zipf(params.n_titles, params.title_zipf_exponent))
+    cells = user_cells[users, rng.choice(slots, size=n, p=weights)]
+    user_ids = ids("u", params.n_users)
+    title_ids = ids("t", params.n_titles)
+    cell_ids = ids("c", params.n_cells)
+    return [(user_ids[u], title_ids[t], cell_ids[c])
+            for u, t, c in zip(users.tolist(), titles.tolist(),
+                               cells.tolist())]

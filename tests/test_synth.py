@@ -1,20 +1,132 @@
+import hashlib
 import re
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import oracle
+from conftest import CALIBRATION_PARAMS
 from prepush import (
     SynthParams,
+    VisitRecord,
+    build_indexes,
     generate,
     geo_concentration_profile,
+    synth,
+    write_trace,
 )
 from prepush.synth import DEFAULT_GEO_PROFILE
+from prepush.trace import _SIDECAR
 
 
 def small_params(**overrides):
     base = dict(n_users=40, n_titles=25, n_cells=30, n_visits=400, seed=5)
     base.update(overrides)
     return SynthParams(**base)
+
+
+@st.composite
+def geo_params(draw):
+    """``SynthParams`` cell fields: a non-increasing profile that may hold
+    zero entries and leave a residual, and the cells to carry them."""
+    weights = sorted(draw(st.lists(st.integers(0, 9), min_size=1,
+                                   max_size=5)), reverse=True)
+    residual = draw(st.integers(0 if sum(weights) else 1, 9))
+    total = sum(weights) + residual
+    profile = tuple(w / total for w in weights)
+    slots = len(profile) + draw(st.integers(1 if residual else 0, 4))
+    return dict(geo_profile=profile, max_cells_per_user=slots,
+                n_cells=slots + draw(st.integers(0, 5)))
+
+
+@st.composite
+def pmfs(draw):
+    """Zipf pmfs of 1 to 20,000 entries, or a profile's cell weights, which
+    may end in zeros."""
+    if draw(st.booleans()):
+        return synth._zipf_pmf(draw(st.integers(1, 20_000)),
+                               draw(st.floats(0.1, 8.0)))
+    weights = SynthParams(n_users=1, n_titles=1, n_visits=1,
+                          **draw(geo_params())).cell_weights()
+    return weights / weights.sum()
+
+
+def chunked(chunk, guide=synth._GUIDE):
+    """Patch :func:`synth._draw`'s chunk and guide sizes."""
+    return mock.patch.multiple(synth, _CHUNK=chunk, _GUIDE=guide)
+
+
+@given(pmfs(), st.integers(0, 30), st.integers(1, 8),
+       st.sampled_from([1, 4, 1 << 16]), st.integers(0, 2**64 - 1))
+@example(synth._zipf_pmf(5000, 2.0), 30, 8, 1 << 16, 12345)
+@example(np.array([0.7, 0.3, 0.0, 0.0]), 17, 4, 1 << 16, 3)
+@settings(max_examples=300, deadline=None)
+def test_draw_is_rng_choice(pmf, size, chunk, guide, seed):
+    """Equal draws and an equal generator state after, with sizes on both
+    sides of chunk boundaries; a guide of one entry searches every draw."""
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    with chunked(chunk, guide):
+        drawn = synth._draw(rng, pmf, size)
+    assert drawn.dtype == np.int32
+    assert np.array_equal(drawn, reference.choice(len(pmf), size, p=pmf))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+class Uniforms:
+    """A stand-in generator that hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size):
+        drawn, self.values = self.values[:size], self.values[size:]
+        return np.array(drawn)
+
+
+@pytest.mark.parametrize("guide", [1, 2, 1 << 16])
+def test_a_draw_equal_to_a_cdf_value_takes_the_next_entry(guide):
+    # The cdf is [0.25, 0.5, 0.5, 1.0]; rng.choice searches it "right".
+    pmf = np.array([0.25, 0.25, 0.0, 0.5])
+    uniforms = [0.0, 0.25, 0.5, 0.75, 0.5 - 2**-53, 1 - 2**-53]
+    with chunked(4, guide):
+        drawn = synth._draw(Uniforms(uniforms), pmf, len(uniforms))
+    assert drawn.tolist() == [0, 1, 3, 3, 1, 3]
+
+
+def test_draw_across_a_full_chunk():
+    pmf = synth._zipf_pmf(5000, 2.0)
+    rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+    drawn = synth._draw(rng, pmf, synth._CHUNK + 3)
+    assert np.array_equal(drawn, reference.choice(5000, synth._CHUNK + 3,
+                                                  p=pmf))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@given(geo_params(), st.integers(1, 12), st.integers(1, 12),
+       st.integers(1, 60), st.floats(0.1, 4.0), st.floats(0.1, 4.0),
+       st.integers(0, 2**64 - 1), st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_generate_matches_reference(geo, n_users, n_titles, n_visits,
+                                    title_exponent, user_exponent, seed,
+                                    chunk):
+    """Every array of the dataset, dtypes too, equals the one built from the
+    whole-column ``rng.choice`` draws, over several chunks of visits."""
+    params = SynthParams(n_users=n_users, n_titles=n_titles,
+                         n_visits=n_visits, seed=seed,
+                         title_zipf_exponent=title_exponent,
+                         user_zipf_exponent=user_exponent, **geo)
+    with chunked(chunk):
+        generated = generate(params)._arrays
+    reference = build_indexes(
+        VisitRecord(*row) for row in oracle.synthetic_rows(params))._arrays
+    for name, *_ in _SIDECAR:
+        assert generated[name].dtype == reference[name].dtype, name
+        assert np.array_equal(generated[name], reference[name]), name
 
 
 class TestParams:
@@ -99,6 +211,22 @@ class TestGenerate:
         ds = generate(params)
         for cells in ds.user_cell_visits.values():
             assert len(cells) <= params.max_cells_per_user
+
+    def test_million_trace_bytes_are_pinned(self, million_dataset, tmp_path):
+        # The reference workload, four chunks of draws: cli-1m's gen digest.
+        path = tmp_path / "trace.csv"
+        write_trace(million_dataset, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "53f57631163e8959e168063eafeffbbb610a4911774fe653de80ef77b7a765d0")
+
+    def test_million_visits_peak_at_32_bytes_each(self):
+        tracemalloc.start()
+        try:
+            generate(CALIBRATION_PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * CALIBRATION_PARAMS.n_visits
 
     def test_default_profile_matches_table(self):
         assert DEFAULT_GEO_PROFILE == (0.58, 0.22, 0.09, 0.05, 0.02)
