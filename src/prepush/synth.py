@@ -13,6 +13,7 @@ Exponents and the per-rank cell-share profile are parameters, not fits.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ DEFAULT_GEO_PROFILE = (0.58, 0.22, 0.09, 0.05, 0.02)
 #: power of two, so each entry is an exact lower bound).
 _CHUNK = 1 << 18
 _GUIDE = 1 << 16
+#: About the draws :func:`_user_cells` takes per chunk of users (2**18 raised
+#: `gen`'s peak at 16,667 users of 20 cells by 10 MB).
+_USER_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,13 @@ class SynthParams:
 
     def __post_init__(self):
         object.__setattr__(self, "geo_profile", tuple(self.geo_profile))
-        for name in ("n_users", "n_titles", "n_cells", "n_visits"):
-            if getattr(self, name) <= 0:
+        for name in ("n_users", "n_titles", "n_cells", "n_visits",
+                     "max_cells_per_user", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, operator.index(value))
+            if name.startswith("n_") and value <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("title_zipf_exponent", "user_zipf_exponent"):
             if not math.isfinite(getattr(self, name)):
@@ -119,14 +128,74 @@ def _draw(rng, pmf, size):
     return codes
 
 
+def _bounded(rng, bounds, times):
+    """numpy's draws in ``[0, b)`` for uint64 ``bounds`` (``1 < b < 2**32``),
+    ``times`` over, by Lemire's method on its 32-bit draws (a raw word's low
+    half, then the high half it buffers): a rejected half is spent and its
+    draw retried."""
+    scale = np.tile(bounds.astype(np.uint64), times)
+    floor = 2**32 % scale
+    out, halves = np.empty(len(scale), np.int64), np.empty(0, np.uint32)
+    done = 0
+    while done < len(out):  # draws as many halves as it spends
+        halves = np.concatenate([halves, rng.integers(
+            2**32, size=len(out) - done - len(halves), dtype=np.uint32)])
+        m = halves * scale[done:]
+        rejected = np.flatnonzero(m.astype(np.uint32) < floor[done:])
+        kept = rejected[0] if len(rejected) else len(m)
+        out[done:done + kept] = m[:kept] >> 32
+        done, halves = done + kept, halves[kept + 1:]
+    return out
+
+
+def _user_cells(rng, n_users, n_cells, slots):
+    """``rng.choice(n_cells, slots, replace=False)`` per user, as int32 rows,
+    and ``rng``'s state after, by numpy's two methods: a shuffle of the tail
+    of ``arange(n_cells)``, or Floyd's algorithm and a shuffle."""
+    picks, base = min(slots, n_cells - 1), n_cells - slots  # no draw in [0, 0]
+    tail = n_cells > 10_000 and slots > n_cells // 50
+    bounds = np.r_[n_cells:n_cells - picks:-1] if tail else np.r_[
+        n_cells - picks + 1:n_cells + 1, slots:1:-1]
+    step = max(1, _USER_CHUNK // (slots + picks))
+    cells = np.empty((n_users, slots), dtype=np.int32)
+    for start in range(0, n_users, step):
+        users = min(step, n_users - start)
+        draws = _bounded(rng, bounds, users).reshape(users, -1)
+        if tail:  # the entries of arange(n_cells) the partial shuffle touches
+            at = np.arange(users)[:, None] * n_cells
+            values, at = np.unique(
+                np.hstack([at + np.arange(base, n_cells), at + draws]),
+                return_inverse=True)
+            values, at = values % n_cells, at.reshape(users, -1)
+            into, taken = at[:, slots - picks:slots][:, ::-1], at[:, slots:]
+        else:  # Floyd: column c keeps its draw v, or base + c if v is held:
+            # drawn before in the row, or the base + c' an earlier c' kept
+            at = np.arange(users * slots).reshape(users, slots)
+            v = np.pad(draws[:, :picks], ((0, 0), (slots - picks, 0)))
+            seen, col = np.divmod(np.sort(v * slots + np.arange(slots)), slots)
+            held = np.zeros(v.size, bool)
+            held[at[:, :1] + col[:, 1:]] = seen[:, 1:] == seen[:, :-1]
+            link = np.where(v >= base, at[:, :1] + v - base, at).ravel()
+            while not np.array_equal(link, link[link]):  # pointer doubling
+                held |= held[link]
+                link = link[link]
+            values = np.where((held | held[link]).reshape(v.shape),
+                              base + np.arange(slots), v).ravel()
+            into, taken = at[:, :0:-1], at[:, :1] + draws[:, picks:]
+        for i, k in zip(into.T, taken.T):  # Fisher-Yates, a column at a time
+            values[i], values[k] = values[k], values[i]
+        cells[start:start + users] = values[at[:, :slots]]
+    return cells
+
+
 def generate(params):
     """Generate a seeded synthetic trace as an indexed dataset.
 
-    Draw order is fixed (user cell assignments, then users, titles, and
-    cell slots for all visits), and each draw equals ``rng.choice``'s with
-    the same weights, so identical params give a bit-identical dataset with
-    int32 codes.  Title and user identifiers encode popularity/activity
-    rank: ``t0001`` is the most popular title by construction.
+    Draw order is fixed and each draw equals ``rng.choice``'s: each user's
+    cells, user by user (``replace=False``), then users, titles and cell
+    slots for all visits, by weight.  Identical params give a bit-identical
+    dataset with int32 codes, and title and user identifiers encode rank:
+    ``t0001`` is the most popular title by construction.
 
     Parameters
     ----------
@@ -141,9 +210,7 @@ def generate(params):
     weights = params.cell_weights()
     slots, n = len(weights), params.n_visits
 
-    user_cells = np.empty((params.n_users, slots), dtype=np.int32)
-    for u in range(params.n_users):
-        user_cells[u] = rng.choice(params.n_cells, size=slots, replace=False)
+    user_cells = _user_cells(rng, params.n_users, params.n_cells, slots)
 
     users = _draw(rng, _zipf_pmf(params.n_users, params.user_zipf_exponent), n)
     titles = _draw(rng, _zipf_pmf(params.n_titles, params.title_zipf_exponent),

@@ -57,8 +57,10 @@ def pmfs(draw):
 
 
 def chunked(chunk, guide=synth._GUIDE):
-    """Patch :func:`synth._draw`'s chunk and guide sizes."""
-    return mock.patch.multiple(synth, _CHUNK=chunk, _GUIDE=guide)
+    """Patch the chunk sizes of :func:`synth._draw` and
+    :func:`synth._user_cells`, and ``_draw``'s guide size."""
+    return mock.patch.multiple(synth, _CHUNK=chunk, _USER_CHUNK=chunk,
+                               _GUIDE=guide)
 
 
 @given(pmfs(), st.integers(0, 30), st.integers(1, 8),
@@ -129,6 +131,69 @@ def test_generate_matches_reference(geo, n_users, n_titles, n_visits,
         assert np.array_equal(generated[name], reference[name]), name
 
 
+def choice_rows(seed, n_users, n_cells, slots):
+    """One ``rng.choice(n_cells, slots, replace=False)`` row per user, and
+    the generator after them."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.choice(n_cells, slots, replace=False) for _ in range(n_users)]
+    return np.array(rows, dtype=np.int64).reshape(n_users, slots), rng
+
+
+def assert_user_cells_are_choice(seed, n_users, n_cells, slots):
+    rng = np.random.default_rng(seed)
+    cells = synth._user_cells(rng, n_users, n_cells, slots)
+    rows, reference = choice_rows(seed, n_users, n_cells, slots)
+    assert cells.dtype == np.int32
+    assert np.array_equal(cells, rows)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert np.array_equal(rng.random(3), reference.random(3))
+
+
+@st.composite
+def choice_shapes(draw):
+    """``(n_cells, slots)``: small shapes, all drawn by Floyd's algorithm, or
+    shapes on both sides of numpy's switch to the tail shuffle (more than
+    10,000 cells and ``slots > n_cells // 50``)."""
+    if draw(st.booleans()):
+        n_cells = draw(st.integers(1, 60))
+        return n_cells, draw(st.integers(1, n_cells))
+    return draw(st.integers(10_000, 12_000)), draw(st.integers(1, 300))
+
+
+@given(choice_shapes(), st.integers(0, 50),
+       st.sampled_from([1, 37, synth._USER_CHUNK]), st.integers(0, 2**64 - 1))
+@example((1, 1), 3, 1, 0)  # no draws at all
+@example((20, 20), 5, 1, 0)  # the first column, of range 0, draws nothing
+@example((40, 1), 9, 1, 0)  # one draw per user, so each chunk's is odd
+@example((10_000, 200), 2, 1, 3)  # Floyd's algorithm at the switch
+@example((10_001, 200), 2, 1, 3)  # still Floyd: 200 == 10_001 // 50
+@example((10_001, 201), 2, 1, 3)  # the tail shuffle
+@example((12_000, 12_000), 2, 1 << 18, 3)  # a tail shuffle of every cell
+@settings(max_examples=150, deadline=None)
+def test_user_cells_are_rng_choice(shape, n_users, chunk, seed):
+    """Equal int32 rows and an equal generator state after, buffered half
+    included, with users split over chunks of odd and even draw counts."""
+    with chunked(chunk):
+        assert_user_cells_are_choice(seed, n_users, *shape)
+
+
+@pytest.mark.parametrize("seed, n_users, n_cells, slots, draws", [
+    (12000, 16_667, 1_667, 20, 16_667 * 39),  # the cli-dispersed shape
+    (385, 1, 10_000, 200, 399),
+    (155, 1, 11_000, 250, 250),  # the tail shuffle
+])
+@pytest.mark.parametrize("chunk", [1000, synth._USER_CHUNK])
+def test_a_rejected_half_is_spent_and_its_draw_retried(seed, n_users, n_cells,
+                                                       slots, draws, chunk):
+    # numpy's own rows spend one 32-bit half more than they have draws.
+    _, reference = choice_rows(seed, n_users, n_cells, slots)
+    spent = np.random.default_rng(seed)
+    spent.integers(2**32, size=draws + 1, dtype=np.uint32)
+    assert spent.bit_generator.state == reference.bit_generator.state
+    with chunked(chunk):
+        assert_user_cells_are_choice(seed, n_users, n_cells, slots)
+
+
 class TestParams:
     @pytest.mark.parametrize(
         "field", ["n_users", "n_titles", "n_cells", "n_visits"]
@@ -179,6 +244,22 @@ class TestParams:
     def test_seed_range(self):
         with pytest.raises(ValueError):
             small_params(seed=-1)
+
+    @pytest.mark.parametrize("value", [12.0, True, np.float64(12), "12"])
+    @pytest.mark.parametrize("field", [
+        "n_users", "n_titles", "n_cells", "n_visits", "max_cells_per_user",
+        "seed"])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            small_params(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        params = small_params(n_users=np.int64(40), n_cells=np.int32(30),
+                              max_cells_per_user=np.uint8(10),
+                              seed=np.uint64(5))
+        assert params == small_params()
+        assert type(params.n_users) is int and type(params.seed) is int
+        assert generate(params) == generate(small_params())
 
 
 class TestGenerate:
