@@ -8,7 +8,9 @@ CSV (or JSON mirroring the CSV columns); nothing is rendered here.
 import argparse
 import csv
 import json
+import signal
 import sys
+import threading
 from dataclasses import MISSING, fields
 from itertools import count, repeat
 from operator import add, sub
@@ -139,12 +141,26 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # SIGTERM raises, as SIGINT does, so that unfinished outputs are removed.
+    main_thread = threading.current_thread() is threading.main_thread()
+    if main_thread:
+        previous = signal.signal(signal.SIGTERM, _terminated)
     try:
         return args.handler(args)
     except (OSError, ValueError, UnknownIdError) as exc:
         message = exc.args[0] if isinstance(exc, UnknownIdError) else exc
         print(f"prepush: error: {message}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("prepush: interrupted", file=sys.stderr)
+        return 130
+    finally:
+        if main_thread:
+            signal.signal(signal.SIGTERM, previous)
+
+
+def _terminated(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def _read_config(path):

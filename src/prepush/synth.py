@@ -31,6 +31,10 @@ _GUIDE = 1 << 16
 #: About the draws :func:`_user_cells` takes per chunk of users (2**18 raised
 #: `gen`'s peak at 16,667 users of 20 cells by 10 MB).
 _USER_CHUNK = 1 << 15
+#: The most slots per user :func:`_user_cells` draws over many users at once,
+#: a Python step per slot: numpy's own call per user catches up between 100 and
+#: 128, and tail-shuffles only above 200, so it takes every tail shape.
+_FLOYD_SLOTS = 64
 
 
 @dataclass(frozen=True)
@@ -128,63 +132,39 @@ def _draw(rng, pmf, size):
     return codes
 
 
-def _bounded(rng, bounds, times):
-    """numpy's draws in ``[0, b)`` for uint64 ``bounds`` (``1 < b < 2**32``),
-    ``times`` over, by Lemire's method on its 32-bit draws (a raw word's low
-    half, then the high half it buffers): a rejected half is spent and its
-    draw retried."""
-    scale = np.tile(bounds.astype(np.uint64), times)
-    floor = 2**32 % scale
-    out, halves = np.empty(len(scale), np.int64), np.empty(0, np.uint32)
-    done = 0
-    while done < len(out):  # draws as many halves as it spends
-        halves = np.concatenate([halves, rng.integers(
-            2**32, size=len(out) - done - len(halves), dtype=np.uint32)])
-        m = halves * scale[done:]
-        rejected = np.flatnonzero(m.astype(np.uint32) < floor[done:])
-        kept = rejected[0] if len(rejected) else len(m)
-        out[done:done + kept] = m[:kept] >> 32
-        done, halves = done + kept, halves[kept + 1:]
-    return out
-
-
 def _user_cells(rng, n_users, n_cells, slots):
     """``rng.choice(n_cells, slots, replace=False)`` per user, as int32 rows,
-    and ``rng``'s state after, by numpy's two methods: a shuffle of the tail
-    of ``arange(n_cells)``, or Floyd's algorithm and a shuffle."""
-    picks, base = min(slots, n_cells - 1), n_cells - slots  # no draw in [0, 0]
-    tail = n_cells > 10_000 and slots > n_cells // 50
-    bounds = np.r_[n_cells:n_cells - picks:-1] if tail else np.r_[
-        n_cells - picks + 1:n_cells + 1, slots:1:-1]
-    step = max(1, _USER_CHUNK // (slots + picks))
+    and ``rng``'s state after: up to ``_FLOYD_SLOTS`` slots by numpy's method,
+    Floyd's algorithm and a shuffle, run over a chunk of users at a time, and
+    above it by numpy's own call, user by user."""
     cells = np.empty((n_users, slots), dtype=np.int32)
+    if slots > _FLOYD_SLOTS:
+        for row in cells:
+            row[:] = rng.choice(n_cells, slots, replace=False)
+        return cells
+    picks, base = min(slots, n_cells - 1), n_cells - slots  # no draw in [0, 0]
+    bounds = np.r_[n_cells - picks + 1:n_cells + 1, slots:1:-1]
+    step = max(1, _USER_CHUNK // (slots + picks))
     for start in range(0, n_users, step):
         users = min(step, n_users - start)
-        draws = _bounded(rng, bounds, users).reshape(users, -1)
-        if tail:  # the entries of arange(n_cells) the partial shuffle touches
-            at = np.arange(users)[:, None] * n_cells
-            values, at = np.unique(
-                np.hstack([at + np.arange(base, n_cells), at + draws]),
-                return_inverse=True)
-            values, at = values % n_cells, at.reshape(users, -1)
-            into, taken = at[:, slots - picks:slots][:, ::-1], at[:, slots:]
-        else:  # Floyd: column c keeps its draw v, or base + c if v is held:
-            # drawn before in the row, or the base + c' an earlier c' kept
-            at = np.arange(users * slots).reshape(users, slots)
-            v = np.pad(draws[:, :picks], ((0, 0), (slots - picks, 0)))
-            seen, col = np.divmod(np.sort(v * slots + np.arange(slots)), slots)
-            held = np.zeros(v.size, bool)
-            held[at[:, :1] + col[:, 1:]] = seen[:, 1:] == seen[:, :-1]
-            link = np.where(v >= base, at[:, :1] + v - base, at).ravel()
-            while not np.array_equal(link, link[link]):  # pointer doubling
-                held |= held[link]
-                link = link[link]
-            values = np.where((held | held[link]).reshape(v.shape),
-                              base + np.arange(slots), v).ravel()
-            into, taken = at[:, :0:-1], at[:, :1] + draws[:, picks:]
-        for i, k in zip(into.T, taken.T):  # Fisher-Yates, a column at a time
+        draws = rng.integers(0, np.tile(bounds, users)).reshape(users, -1)
+        # Floyd: column c keeps its draw v, or base + c if v is held: drawn
+        # before in the row, or the base + c' an earlier c' kept.
+        at = np.arange(users * slots).reshape(users, slots)
+        v = np.pad(draws[:, :picks], ((0, 0), (slots - picks, 0)))
+        seen, col = np.divmod(np.sort(v * slots + np.arange(slots)), slots)
+        held = np.zeros(v.size, bool)
+        held[at[:, :1] + col[:, 1:]] = seen[:, 1:] == seen[:, :-1]
+        link = np.where(v >= base, at[:, :1] + v - base, at).ravel()
+        while not np.array_equal(link, link[link]):  # pointer doubling
+            held |= held[link]
+            link = link[link]
+        values = np.where((held | held[link]).reshape(v.shape),
+                          base + np.arange(slots), v).ravel()
+        # Fisher-Yates, a column at a time.
+        for i, k in zip(at[:, :0:-1].T, (at[:, :1] + draws[:, picks:]).T):
             values[i], values[k] = values[k], values[i]
-        cells[start:start + users] = values[at[:, :slots]]
+        cells[start:start + users] = values.reshape(users, slots)
     return cells
 
 
@@ -192,10 +172,11 @@ def generate(params):
     """Generate a seeded synthetic trace as an indexed dataset.
 
     Draw order is fixed and each draw equals ``rng.choice``'s: each user's
-    cells, user by user (``replace=False``), then users, titles and cell
-    slots for all visits, by weight.  Identical params give a bit-identical
-    dataset with int32 codes, and title and user identifiers encode rank:
-    ``t0001`` is the most popular title by construction.
+    cells, user by user (``replace=False``; :func:`_user_cells` draws up to
+    ``_FLOYD_SLOTS`` a user over many users at once), then users, titles and
+    cell slots for all visits, by weight.  Identical params give a
+    bit-identical dataset with int32 codes, and title and user identifiers
+    encode rank: ``t0001`` is the most popular title by construction.
 
     Parameters
     ----------

@@ -1,8 +1,14 @@
-"""Shared builders for test traces."""
+"""Shared builders for test traces, and a runner for child processes."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from prepush import VisitRecord, build_indexes
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_random_records(rng, max_users=30, max_titles=10, max_cells=10,
@@ -58,3 +64,14 @@ def seeded_rng(seed):
 def sidecar_of(path):
     """The parse sidecar trace.load_trace keeps next to a trace file."""
     return path.with_name(f".{path.name}.prepush.npz")
+
+
+def run_python(args, cwd, **kwargs):
+    """``python *args`` in a child process with ``src`` on its import path;
+    its output is captured as text."""
+    pythonpath = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": pythonpath},
+                          capture_output=True, text=True, timeout=120,
+                          **kwargs)

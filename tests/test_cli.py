@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import resource
 import shutil
 import signal
 import stat
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracle
-from helpers import sidecar_of
+from helpers import run_python, sidecar_of
 from prepush import (
     SynthParams,
     TraceDataset,
@@ -1158,3 +1159,80 @@ def test_every_fault_fails_cleanly(tmp_path, monkeypatch, capsys, argv,
                        if kind == "replace" and file != SIDECAR}
             assert got == {**dict.fromkeys(stale, b"stale\n"),
                            **{file: files[file] for file in renamed}}
+
+
+#: gen in a child process whose row write signals the child once written.
+SIGNALLED_GEN = """
+import os, signal, sys
+from prepush import cli
+
+write = cli._write_rows
+
+def write_then_signal(dataset, path):
+    digest = write(dataset, path)
+    os.kill(os.getpid(), signal.{})
+    return digest
+
+cli._write_rows = write_then_signal
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+#: gen's workload flags, as in :func:`gen_trace`.
+GEN_FLAGS = ["--n-users", "60", "--n-titles", "30", "--n-cells", "25"]
+
+
+@pytest.mark.parametrize("name, code, err", [
+    ("SIGTERM", 143, ""),
+    ("SIGINT", 130, "prepush: interrupted\n"),
+])
+def test_a_signal_during_a_write_leaves_nothing(tmp_path, name, code, err):
+    out = tmp_path / "out" / "trace.csv"
+    proc = run_python(["-c", SIGNALLED_GEN.format(name), "gen", "--output",
+                       str(out), *GEN_FLAGS, "--n-visits", "1000"],
+                      cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    # No temporary file, and not the directory the command made.
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_file_size_limit_fails_cleanly(tmp_path):
+    """Under ``RLIMIT_FSIZE``, set in the child alone, a write past the
+    limit fails with EFBIG (Python ignores SIGXFSZ), as on a full disk."""
+    def prepush(*argv, limit=None):
+        def cap():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+        return run_python(["-m", "prepush.cli", *argv], cwd=tmp_path,
+                          preexec_fn=cap if limit else None)
+
+    def files(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    too_large = (f"prepush: error: [Errno {errno.EFBIG}] "
+                 f"{os.strerror(errno.EFBIG)}\n")
+    gen = ["gen", *GEN_FLAGS, "--n-visits", "20000", "--output"]
+    full = tmp_path / "full" / "trace.csv"
+    assert prepush(*gen, str(full)).returncode == 0
+    rows, sidecar = full.stat().st_size, sidecar_of(full).stat().st_size
+    assert rows < sidecar
+
+    # Capped below the trace: nothing is left, not the directory made.
+    proc = prepush(*gen, str(tmp_path / "a" / "trace.csv"), limit=rows // 2)
+    assert (proc.returncode, proc.stderr) == (1, too_large)
+    assert not (tmp_path / "a").exists()
+
+    # Capped between the trace and its sidecar: the trace, and no sidecar.
+    capped = tmp_path / "b" / "trace.csv"
+    proc = prepush(*gen, str(capped), limit=(rows + sidecar) // 2)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert files(capped.parent) == {"trace.csv": full.read_bytes()}
+
+    # A plan that cannot write its tables leaves the earlier ones.
+    out = tmp_path / "plan"
+    plan = ["plan", "--input", str(full), "--output", str(out), "--format",
+            "json"]
+    assert prepush(*plan).returncode == 0
+    before = files(out)
+    assert max(map(len, before.values())) > 1000
+    proc = prepush(*plan, limit=1000)
+    assert (proc.returncode, proc.stderr) == (1, too_large)
+    assert files(out) == before

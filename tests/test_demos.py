@@ -1,22 +1,14 @@
 """Smoke test: every demo script runs to completion."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import ROOT, run_python
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(tmp_path, demo):
     # The demos write their trace (and figures) into the working directory.
-    pythonpath = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": pythonpath},
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python([str(demo)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -151,12 +151,17 @@ def assert_user_cells_are_choice(seed, n_users, n_cells, slots):
 
 @st.composite
 def choice_shapes(draw):
-    """``(n_cells, slots)``: small shapes, all drawn by Floyd's algorithm, or
-    shapes on both sides of numpy's switch to the tail shuffle (more than
-    10,000 cells and ``slots > n_cells // 50``)."""
-    if draw(st.booleans()):
+    """``(n_cells, slots)``: small shapes, all drawn by Floyd's algorithm;
+    65 to 300 slots of at most 10,000 cells, numpy's Floyd through its own
+    call; or shapes on both sides of numpy's switch to the tail shuffle (more
+    than 10,000 cells and ``slots > n_cells // 50``)."""
+    kind = draw(st.sampled_from(["small", "many slots", "switch"]))
+    if kind == "small":
         n_cells = draw(st.integers(1, 60))
         return n_cells, draw(st.integers(1, n_cells))
+    if kind == "many slots":
+        slots = draw(st.integers(synth._FLOYD_SLOTS + 1, 300))
+        return draw(st.integers(slots, 10_000)), slots
     return draw(st.integers(10_000, 12_000)), draw(st.integers(1, 300))
 
 
@@ -165,6 +170,9 @@ def choice_shapes(draw):
 @example((1, 1), 3, 1, 0)  # no draws at all
 @example((20, 20), 5, 1, 0)  # the first column, of range 0, draws nothing
 @example((40, 1), 9, 1, 0)  # one draw per user, so each chunk's is odd
+@example((1_000, 64), 7, 37, 3)  # the most slots drawn over many users
+@example((1_000, 65), 7, 37, 3)  # the fewest drawn by numpy's own call
+@example((64, 64), 7, 37, 3)  # every cell, over many users
 @example((10_000, 200), 2, 1, 3)  # Floyd's algorithm at the switch
 @example((10_001, 200), 2, 1, 3)  # still Floyd: 200 == 10_001 // 50
 @example((10_001, 201), 2, 1, 3)  # the tail shuffle
@@ -179,8 +187,8 @@ def test_user_cells_are_rng_choice(shape, n_users, chunk, seed):
 
 @pytest.mark.parametrize("seed, n_users, n_cells, slots, draws", [
     (12000, 16_667, 1_667, 20, 16_667 * 39),  # the cli-dispersed shape
-    (385, 1, 10_000, 200, 399),
-    (155, 1, 11_000, 250, 250),  # the tail shuffle
+    (385, 1, 10_000, 200, 399),  # Floyd, by rng.choice
+    (155, 1, 11_000, 250, 250),  # the tail shuffle, by rng.choice
 ])
 @pytest.mark.parametrize("chunk", [1000, synth._USER_CHUNK])
 def test_a_rejected_half_is_spent_and_its_draw_retried(seed, n_users, n_cells,
