@@ -7,7 +7,7 @@ CSV (or JSON mirroring the CSV columns); nothing is rendered here.
 
 import argparse
 import csv
-import json
+import os
 import signal
 import sys
 import threading
@@ -205,8 +205,12 @@ def _handle_gen(args):
     params = _gen_params(args, build_parser().error)
     dataset = generate(params)
     with _replacing([Path(args.output)]) as (temp,):
-        digest = _write_rows(dataset, temp)
-    _write_sidecar(dataset, Path(args.output), digest)
+        digest, written = _write_rows(dataset, temp)
+    now = os.stat(args.output)  # binds the sidecar if still the file written
+    same = all(getattr(now, f) == getattr(written, f)
+               for f in ("st_ino", "st_size", "st_mtime_ns"))
+    _write_sidecar(dataset, Path(args.output), digest,
+                   now.st_ctime_ns if same else 0)
     print(
         f"wrote {dataset.total_visits} visits "
         f"({dataset.n_users} users, {dataset.n_titles} titles) "
@@ -231,6 +235,7 @@ def _write_tables(args, tables):
                     writer.writerow(header)
                     writer.writerows(rows)
             else:
+                import json  # only here, so that CSV commands skip it
                 payload = [dict(zip(header, row)) for row in rows]
                 with open(temp, "w", encoding="utf-8") as handle:
                     json.dump(payload, handle, indent=2)

@@ -20,11 +20,15 @@ pure reads over them.  :func:`write_trace` keeps a dataset's arrays and
 planning tables (about twice the columns' size) in a sidecar
 ``.<name>.prepush.npz`` keyed by the sha256 of the bytes written, as
 ``prepush gen`` does and :func:`load_trace` after parsing a trace without
-one.  Later reads build nothing: they check the key and every array's
-header, and read the vocabularies and the bounds arrays; every other
-array is made by reading it, its CRC and values checked.  A stale,
-damaged or inconsistent sidecar is parsed over, up front or on that first
-use; any may be deleted.
+one.  Its mtime binds it to the trace's ctime C with those bytes: C if
+older than the sidecar's write (git's racy-clean rule), else 0.  A read
+trusts the stored key if that mtime is the trace's ctime and older than
+the sidecar's own ctime, which a rewrite moves; any other read hashes the
+trace, and binds nothing.  Later reads build nothing: they check the key
+and every array's header, and read the bounds arrays; every other array,
+a vocabulary too, is made by reading it, its CRC and values checked.  A
+stale, damaged or inconsistent sidecar is parsed over, up front or on
+that first use; any may be deleted.
 
 Trace file format: UTF-8 text, one header line ``user_id,title_id,cell_id,
 timestamp``, comma-delimited rows, empty timestamp field allowed.
@@ -42,7 +46,6 @@ own row, as does a field longer than :func:`csv.field_size_limit`.
 
 import csv
 import errno
-import hashlib
 import io
 import itertools
 import os
@@ -217,11 +220,11 @@ class TraceDataset:
 
     @property
     def n_titles(self):
-        return len(self._arrays["ids1"])
+        return len(self._arrays["title_counts"])
 
     @property
     def n_users(self):
-        return len(self._arrays["ids0"])
+        return len(self._arrays["user_counts"])
 
     @cached_property
     def title_visits(self):
@@ -746,7 +749,7 @@ def parse_trace(path):
     EmptyTraceError
         File contains a header but zero records.
     """
-    return _parse(path, None)
+    return _parse(path, None)[0]
 
 
 class _Digesting(io.RawIOBase):
@@ -766,38 +769,49 @@ class _Digesting(io.RawIOBase):
 
 def _parse(path, digest):
     """:func:`parse_trace`, feeding each byte it reads, on the block path
-    and the per-line path alike, to ``digest`` unless that is None."""
+    and the per-line path alike, to ``digest`` unless that is None, and
+    the file's ctime before the read, which a change moves past."""
     columns = _Columns()
     with (open(path, "rb", buffering=0) as raw,
           io.TextIOWrapper(io.BufferedReader(
               raw if digest is None else _Digesting(raw, digest)),
               encoding="utf-8", errors="surrogateescape",
               newline="") as handle):
+        ctime = os.fstat(raw.fileno()).st_ctime_ns
         _add_blocks(columns, handle, path)
     dataset = columns.build()
     if not dataset.total_visits:
         raise EmptyTraceError(f"{path}: trace contains zero records")
-    return dataset
+    return dataset, ctime
 
 
-def _read_sidecar(path, key):
-    """The dataset the sidecar of the trace at ``path`` holds under ``key``,
-    or None for a stale, damaged or crafted one: if it is not a regular
-    file, if any :data:`_SIDECAR` member is missing or its ``.npy`` header
-    gives another dtype or length or no visits, or if a vocabulary or a
-    bounds array, the members read up front, fails :func:`_read_member`.
-    The others are read and checked on first use (:func:`_read_or_parse`)."""
+def _read_sidecar(path, ctime):
+    """The dataset the sidecar of the trace at ``path`` holds, or None for
+    a stale, damaged or crafted one: if it is not a regular file, if its
+    key is not the trace's (bound to ``ctime``, the trace's, or hashed), if
+    any :data:`_SIDECAR` member is missing or its ``.npy`` header gives
+    another dtype or length or no visits, or if a bounds array fails
+    :func:`_read_member`; the others are checked on first use."""
     try:
         # Not blocking, so that a FIFO at its path is a miss, not a hang.
         handle = open(_sidecar(path), "rb", opener=lambda name, flags:
                       os.open(name, flags | os.O_NONBLOCK))
+        info = os.fstat(handle.fileno())
     except OSError:
+        _hashed(path)  # as every read but a bound one, with no sidecar too
         return None
     try:
-        if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+        hashed = (None if 0 != info.st_mtime_ns == ctime < info.st_ctime_ns
+                  else _hashed(path))
+    except BaseException:
+        handle.close()
+        raise
+    try:
+        if not stat.S_ISREG(info.st_mode):
             raise ValueError("not a regular file")
         npz = np.lib.npyio.NpzFile(handle)
-        if str(npz["key"]) != key:
+        key = str(npz["key"])
+        if not key.startswith(_SIDECAR_KEY) or hashed not in (None, key):
             raise ValueError("stale")
         lengths = {}  # of each member, which must be 1-D
         for name, (dtype, _, _) in _MEMBERS.items():
@@ -814,8 +828,8 @@ def _read_sidecar(path, key):
                  "users": lengths["ids0"], "titles": lengths["ids1"],
                  "cells": lengths["ids2"], "targets": lengths["target_cells"]}
         arrays = {name: _read_member(npz, name, sizes)
-                  for name, (dtype, length, bound) in _MEMBERS.items()
-                  if dtype == "S" or bound and length.endswith("+1")}
+                  for name, (_, length, bound) in _MEMBERS.items()
+                  if bound and length.endswith("+1")}
         # A bounds array's last entry sizes the arrays it bounds.
         sizes.update((bound, int(arrays[name][-1]))
                      for name, (_, length, bound) in _MEMBERS.items()
@@ -824,7 +838,7 @@ def _read_sidecar(path, key):
             size, plus, _ = length.partition("+")
             if lengths[name] != sizes[size] + bool(plus):
                 raise ValueError(f"{name} has another length")
-    except Exception:  # an unreadable sidecar, or non-ASCII identifiers
+    except Exception:  # an unreadable sidecar
         handle.close()
         return None
     return TraceDataset(_Arrays(arrays, partial(_read_or_parse, npz, sizes,
@@ -860,11 +874,11 @@ def _read_member(npz, name, sizes):
 
 def _read_or_parse(npz, sizes, path, key, name):
     """Member ``name`` of a sidecar hit, read and checked; if that fails,
-    every member from the trace parsed over as on a miss, or OSError if it
-    changed after it was hashed under ``key``."""
+    every member from the trace parsed over as on a miss, or OSError if the
+    trace no longer has ``key``, the sidecar's."""
     try:
         return {name: _read_member(npz, name, sizes)}
-    except Exception:  # a damaged member, as in _read_sidecar
+    except Exception:  # a damaged member, or non-ASCII identifiers
         dataset, parsed = _parsed(path)
         if parsed != key:
             raise OSError(f"{path}: changed while it was read; "
@@ -945,21 +959,28 @@ def _replacing(paths):
 
 
 def load_trace(path):
-    """:func:`parse_trace` through the file's sidecar (see the module)."""
+    """:func:`parse_trace` through the file's sidecar, unhashed when bound
+    to the trace's ctime; a miss binds the one it writes (see the module)."""
     path = Path(path)
     if not path.is_file():
         return parse_trace(path)
+    return _read_sidecar(path, path.stat().st_ctime_ns) or _parsed(path)[0]
+
+
+def _hashed(path):
+    """The sidecar key of the trace's bytes."""
+    import hashlib  # here, so that a bound hit does not load OpenSSL
     with open(path, "rb") as handle:
-        key = _SIDECAR_KEY + hashlib.file_digest(handle, "sha256").hexdigest()
-    return _read_sidecar(path, key) or _parsed(path)[0]
+        return _SIDECAR_KEY + hashlib.file_digest(handle, "sha256").hexdigest()
 
 
 def _parsed(path):
     """The miss: ``path`` parsed and kept in its sidecar, and the key of
     the bytes parsed, which differ from those hashed if it was rewritten."""
+    import hashlib
     digest = hashlib.sha256()
-    dataset = _parse(path, digest)
-    _write_sidecar(dataset, path, digest)
+    dataset, ctime = _parse(path, digest)
+    _write_sidecar(dataset, path, digest, ctime)
     return dataset, _SIDECAR_KEY + digest.hexdigest()
 
 
@@ -967,8 +988,9 @@ def _sidecar(path):
     return path.with_name(f".{path.name}.prepush.npz")
 
 
-def _write_sidecar(dataset, path, digest):
-    """Keep the dataset in ``path``'s sidecar; a failed write leaves none."""
+def _write_sidecar(dataset, path, digest, ctime):
+    """Keep the dataset in ``path``'s sidecar, bound to ``ctime``, the
+    trace's with the bytes ``digest`` hashed; a failed write leaves none."""
     # Made private; whoever may read the trace may read its sidecar.
     with suppress(OSError), _replacing([_sidecar(path)]) as (temp,):
         with open(temp, "wb", opener=lambda name, flags: os.open(
@@ -981,6 +1003,8 @@ def _write_sidecar(dataset, path, digest):
                 name: np.asarray(a[name], dtype)
                 for name, dtype, *_ in _SIDECAR})
         os.chmod(temp, os.stat(path).st_mode & 0o666)
+        written = os.stat(temp).st_mtime_ns  # bound if ctime is older
+        os.utime(temp, ns=(written, ctime if ctime < written else 0))
 
 
 def write_trace(dataset, path):
@@ -992,14 +1016,16 @@ def write_trace(dataset, path):
     identifiers outside the file format's character set; either is raised
     before the file is opened.
     """
-    digest = _write_rows(dataset, path)
+    digest, written = _write_rows(dataset, path)
     if Path(path).is_file():
-        _write_sidecar(dataset, Path(path), digest)
+        _write_sidecar(dataset, Path(path), digest, written.st_ctime_ns)
 
 
 def _write_rows(dataset, path):
-    """:func:`write_trace`'s rows alone; returns their bytes' sha256.  A row
-    is its NUL-padded fields with commas and a newline, NULs dropped."""
+    """:func:`write_trace`'s rows alone; returns their bytes' sha256 and
+    the file's fstat.  A row is its NUL-padded fields with commas and a
+    newline, NULs dropped."""
+    import hashlib
     if not dataset.total_visits:
         raise EmptyTraceError("refusing to write a zero-record trace")
     # Codes number identifiers in order of first appearance, so a kind's
@@ -1034,4 +1060,5 @@ def _write_rows(dataset, path):
             text = text[text != 0]
             digest.update(text)
             handle.write(text)
-    return digest
+        handle.flush()
+        return digest, os.fstat(handle.fileno())

@@ -723,20 +723,20 @@ def test_commands_build_no_view(tmp_path, monkeypatch):
     run_commands(tmp_path, path, "miss")
 
 
-#: The sidecar members a hit reads before any use: the vocabularies, and
-#: the bounds arrays whose last entries size the other members.
-UP_FRONT = {"ids0", "ids1", "ids2", "user_cell_bounds", "ranked_bounds"}
+#: The sidecar members a hit reads before any use: the bounds arrays,
+#: whose last entries size the other members.
+UP_FRONT = {"user_cell_bounds", "ranked_bounds"}
 CODES = {"codes0", "codes1", "codes2"}
 MEMBERS = [name for name, *_ in trace._SIDECAR]
 TABLES = set(MEMBERS[MEMBERS.index("ranked_bounds"):])
 
 
 @pytest.mark.parametrize("argv, unread", [
-    (["stats"], CODES | TABLES - UP_FRONT),
-    (["plan", "--mode", "perfect"], CODES),
-    (["plan", "--mode", "assumed"], CODES),
-    (["plan", "--mode", "limited"], CODES),
-    (["sweep"], CODES),
+    (["stats"], CODES | TABLES - UP_FRONT | {"ids0", "ids1", "ids2"}),
+    (["plan", "--mode", "perfect"], CODES | {"ids0", "ids2"}),
+    (["plan", "--mode", "assumed"], CODES | {"ids0", "ids2"}),
+    (["plan", "--mode", "limited"], CODES | {"ids0", "ids2"}),
+    (["sweep"], CODES | {"ids0"}),
 ])
 def test_a_hit_reads_only_the_members_its_command_uses(
         tmp_path, monkeypatch, argv, unread):
@@ -1236,3 +1236,48 @@ def test_a_file_size_limit_fails_cleanly(tmp_path):
     proc = prepush(*plan, limit=1000)
     assert (proc.returncode, proc.stderr) == (1, too_large)
     assert files(out) == before
+
+
+def test_gen_binds_its_sidecar_to_the_trace_it_renamed(tmp_path,
+                                                       monkeypatch):
+    path = gen_trace(tmp_path)
+    assert sidecar_of(path).stat().st_mtime_ns == path.stat().st_ctime_ns
+    # A trace changed between its rename and gen's stat of it is not the
+    # file gen wrote and hashed: the sidecar is not bound to it.
+    def replace_then_append(src, dst):
+        replace(src, dst)
+        if Path(dst).name == "other.csv":
+            with open(dst, "a", encoding="utf-8") as handle:
+                handle.write("u1,t1,c1,\n")
+
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", replace_then_append)
+    other = gen_trace(tmp_path, name="other.csv")
+    monkeypatch.undo()
+    assert sidecar_of(other).stat().st_mtime_ns != other.stat().st_ctime_ns
+    assert trace.load_trace(other) == parse_trace(other)
+
+
+#: Runs ``prepush`` in a child, then prints the modules it left loaded
+#: among hashlib's, OpenSSL's and json.
+IMPORTS_AFTER = """
+import sys
+from prepush import cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, sorted({"hashlib", "_hashlib", "json"} & set(sys.modules)))
+"""
+
+
+def test_a_bound_hit_imports_no_hash_or_json(tmp_path):
+    def loaded(*argv):
+        proc = run_python(["-c", IMPORTS_AFTER, *argv], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    path = gen_trace(tmp_path)
+    stats = ["stats", "--input", str(path), "--output", "out"]
+    assert loaded() == "0 []"
+    assert loaded(*stats) == "0 []"
+    assert loaded(*stats, "--format", "json") == "0 ['json']"
+    path.chmod(0o640)  # unbound: this hit hashes
+    assert loaded(*stats) == "0 ['_hashlib', 'hashlib']"

@@ -4,12 +4,14 @@ import gc
 import hashlib
 import os
 import pickle
+import shutil
 import stat
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -524,7 +526,7 @@ def test_writer_matches_reference_formatter(tmp_path_factory, records,
         records = [dataclasses.replace(r, timestamp=None) for r in records]
     path = tmp_path_factory.mktemp("written") / "trace.csv"
     with mock.patch.object(trace, "_CHUNK_ROWS", chunk):
-        digest = trace._write_rows(build_indexes(records), path)
+        digest, _ = trace._write_rows(build_indexes(records), path)
     text = reference_text(records).encode()
     assert path.read_bytes() == text
     assert digest.hexdigest() == hashlib.sha256(text).hexdigest()
@@ -1322,3 +1324,140 @@ class TestLoadTrace:
             trace.load_trace(tmp_path / "nope.csv")
         assert exc.value.filename == str(tmp_path / "nope.csv")
         assert list(tmp_path.iterdir()) == []
+
+
+def is_bound(path):
+    """Whether the trace's sidecar is bound to its ctime (see the module)."""
+    return sidecar_of(path).stat().st_mtime_ns == path.stat().st_ctime_ns
+
+
+class TestBinding:
+    """A sidecar bound to its trace's ctime is read without a hash; any
+    other read hashes the trace first."""
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        """The traces ``hashlib.file_digest`` hashes, in order."""
+        def spy(handle, name):
+            hashed.append(handle.name)
+            return file_digest(handle, name)
+
+        hashed, file_digest = [], hashlib.file_digest
+        monkeypatch.setattr(hashlib, "file_digest", spy)
+        return hashed
+
+    def stamped(self, tmp_path, how):
+        records = make_random_records(seeded_rng(39), with_timestamps=True)
+        path = tmp_path / "trace.csv"
+        write_trace(build_indexes(records), path)
+        if how == "miss":
+            sidecar_of(path).unlink()
+            trace.load_trace(path)
+        return path
+
+    @pytest.mark.parametrize("how", ["write_trace", "miss"])
+    def test_a_bound_hit_hashes_nothing(self, tmp_path, monkeypatch, how):
+        def refuse_hash(*args):
+            raise AssertionError("hashed a trace its sidecar is bound to")
+
+        path = self.stamped(tmp_path, how)
+        assert is_bound(path)
+        monkeypatch.setattr(hashlib, "file_digest", refuse_hash)
+        with mock.patch.object(trace, "_parse", refuse_parse):
+            dataset = trace.load_trace(path)
+        assert_same_fields(dataset, parse_trace(path))
+
+    @pytest.mark.parametrize("change", [
+        "trace_rewritten", "sidecar_rewritten", "copied", "chmod"])
+    def test_a_change_to_either_file_is_hashed(self, tmp_path, hashes,
+                                              change):
+        path = self.stamped(tmp_path, "write_trace")
+        sidecar = sidecar_of(path)
+        parse = trace._parse
+        if change == "trace_rewritten":
+            # Same size and mtime: the test above this class's, hashed.
+            before = path.stat()
+            path.write_text(path.read_text().replace("\nu", "\nv"))
+            assert path.stat().st_size == before.st_size
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        elif change == "sidecar_rewritten":
+            sidecar.write_bytes(sidecar.read_bytes())
+        elif change == "copied":
+            shutil.copy2(path, tmp_path / "copy.csv")
+            shutil.copy2(sidecar, sidecar_of(tmp_path / "copy.csv"))
+            path = tmp_path / "copy.csv"
+        else:
+            path.chmod(0o640)
+        assert not is_bound(path)
+        with mock.patch.object(trace, "_parse", refuse_parse
+                               if change != "trace_rewritten" else parse):
+            dataset = trace.load_trace(path)
+        assert hashes == [str(path)]
+        assert_same_fields(dataset, parse_trace(path))
+        assert (next(iter(dataset.user_visits))[0] == "v") == (
+            change == "trace_rewritten")
+
+    def test_a_sidecar_no_older_than_the_trace_is_not_bound(
+            self, tmp_path, monkeypatch, hashes):
+        # The sidecar is written in the trace's last clock tick, where both
+        # files get one time: its mtime equals the trace's ctime, and must
+        # still not bind it.
+        def savez(handle, *args, **kwargs):
+            real_savez(handle, *args, **kwargs)
+            handle.flush()
+            stamp = path.stat().st_ctime_ns
+            os.utime(handle.fileno(), ns=(stamp, stamp))
+
+        path = self.stamped(tmp_path, "write_trace")
+        sidecar_of(path).unlink()
+        real_savez = np.savez
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "savez", savez)
+            trace.load_trace(path)
+        assert not is_bound(path)
+        want = parse_trace(path)
+        with mock.patch.object(trace, "_parse", refuse_parse):
+            assert_same_fields(trace.load_trace(path), want)
+        assert hashes == [str(path)] * 2  # the miss's, then the hit's
+
+    def test_a_rewrite_as_a_miss_reads_leaves_it_unbound(
+            self, tmp_path, monkeypatch, hashes):
+        # The trace is rewritten, with the same bytes, once the miss has
+        # read them: its sidecar holds a ctime the trace no longer has.
+        def rewrite(columns, handle, path):
+            add_blocks(columns, handle, path)
+            before = path.stat().st_ctime_ns
+            while path.stat().st_ctime_ns == before:
+                path.write_bytes(data)
+
+        path = self.stamped(tmp_path, "write_trace")
+        sidecar_of(path).unlink()
+        data, add_blocks = path.read_bytes(), trace._add_blocks
+        with monkeypatch.context() as patch:
+            patch.setattr(trace, "_add_blocks", rewrite)
+            trace.load_trace(path)
+        assert not is_bound(path)
+        want = parse_trace(path)
+        with mock.patch.object(trace, "_parse", refuse_parse):
+            assert_same_fields(trace.load_trace(path), want)
+        assert hashes == [str(path)] * 2
+
+    def test_a_sidecar_rewritten_as_it_was_bound_is_hashed(
+            self, tmp_path, monkeypatch, hashes):
+        # A sidecar rewritten in the trace's last clock tick would carry
+        # the trace's ctime as its mtime; its own ctime, then no later than
+        # that mtime, tells it from a bound one, whose mtime was set back.
+        def same_tick(fd):
+            info = fstat(fd)
+            return SimpleNamespace(st_mode=info.st_mode,
+                                   st_mtime_ns=info.st_mtime_ns,
+                                   st_ctime_ns=info.st_mtime_ns)
+
+        path = self.stamped(tmp_path, "write_trace")
+        assert is_bound(path)
+        fstat = os.fstat
+        with mock.patch.object(os, "fstat", same_tick), mock.patch.object(
+                trace, "_parse", refuse_parse):
+            dataset = trace.load_trace(path)
+        assert hashes == [str(path)]
+        assert_same_fields(dataset, parse_trace(path))
