@@ -7,7 +7,6 @@ CSV (or JSON mirroring the CSV columns); nothing is rendered here.
 
 import argparse
 import csv
-import os
 import signal
 import sys
 import threading
@@ -38,7 +37,7 @@ from .planning import (
     titles_by_popularity,
 )
 from .synth import SynthParams, generate
-from .trace import _replacing, _write_rows, _write_sidecar, load_trace
+from .trace import _replacing, _write_renamed, load_trace
 
 MODE_CASES = {
     "perfect": CASE_PERFECT,
@@ -204,13 +203,7 @@ def _gen_params(args, parser_error):
 def _handle_gen(args):
     params = _gen_params(args, build_parser().error)
     dataset = generate(params)
-    with _replacing([Path(args.output)]) as (temp,):
-        digest, written = _write_rows(dataset, temp)
-    now = os.stat(args.output)  # binds the sidecar if still the file written
-    same = all(getattr(now, f) == getattr(written, f)
-               for f in ("st_ino", "st_size", "st_mtime_ns"))
-    _write_sidecar(dataset, Path(args.output), digest,
-                   now.st_ctime_ns if same else 0)
+    _write_renamed(dataset, Path(args.output))
     print(
         f"wrote {dataset.total_visits} visits "
         f"({dataset.n_users} users, {dataset.n_titles} titles) "

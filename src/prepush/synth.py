@@ -200,11 +200,8 @@ def generate(params):
     for start in range(0, n, _CHUNK):  # each chunk of slots becomes cells
         rows = slice(start, start + _CHUNK)
         cells[rows] = user_cells[users[rows], cells[rows]]
-    # Popped into the call, so each column goes once renumbered.
     columns = [users, titles, cells]
-    del users, titles, cells
-    return _from_columns(
-        (_ids("u", params.n_users), _ids("t", params.n_titles),
-         _ids("c", params.n_cells)),
-        columns.pop(0), columns.pop(0), columns.pop(0),
-    )
+    del users, titles, cells  # so that each column goes once renumbered
+    return _from_columns((_ids("u", params.n_users),
+                          _ids("t", params.n_titles),
+                          _ids("c", params.n_cells)), columns)

@@ -23,12 +23,12 @@ planning tables (about twice the columns' size) in a sidecar
 one.  Its mtime binds it to the trace's ctime C with those bytes: C if
 older than the sidecar's write (git's racy-clean rule), else 0.  A read
 trusts the stored key if that mtime is the trace's ctime and older than
-the sidecar's own ctime, which a rewrite moves; any other read hashes the
-trace, and binds nothing.  Later reads build nothing: they check the key
-and every array's header, and read the bounds arrays; every other array,
-a vocabulary too, is made by reading it, its CRC and values checked.  A
-stale, damaged or inconsistent sidecar is parsed over, up front or on
-that first use; any may be deleted.
+the sidecar's own ctime, which a rewrite moves; any other read beside a
+regular sidecar hashes the trace, and binds nothing.  Later reads build
+nothing: they check the key and every array's header, and read the bounds
+arrays; every other array, a vocabulary too, is made by reading it, its
+CRC and values checked.  A stale, damaged or inconsistent sidecar is
+parsed over, up front or on that first use; any may be deleted.
 
 Trace file format: UTF-8 text, one header line ``user_id,title_id,cell_id,
 timestamp``, comma-delimited rows, empty timestamp field allowed.
@@ -55,7 +55,7 @@ import threading
 import weakref
 from collections import defaultdict
 from collections.abc import Mapping
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import attrgetter
@@ -385,9 +385,7 @@ class _Columns:
         columns = [np.concatenate(b) if b else np.zeros(0, np.int64)
                    for b in self.blocks]
         self.blocks = None
-        # Popped into the call, so each column goes once renumbered.
-        return _from_columns([list(c) for c in self.codes], columns.pop(0),
-                             columns.pop(0), columns.pop(0), columns.pop(0))
+        return _from_columns([list(c) for c in self.codes], columns)
 
 
 def _first_appearance(ids, codes):
@@ -459,20 +457,21 @@ def _id_ranks(vocabulary):
     return ranks
 
 
-def _from_columns(vocabularies, users, titles, cells, timestamps=None):
+def _from_columns(vocabularies, columns):
     """The one dataset builder: every index from the code columns.
 
-    ``vocabularies`` holds the user, title and cell identifiers indexed by
-    the codes in ``users``, ``titles`` and ``cells``.  Any numbering will
-    do: codes are renumbered in order of first appearance, and identifiers
-    no visit uses are dropped.  ``timestamps`` is an int64 column with
-    :data:`_NO_TIMESTAMP` for a missing value, or None if no visit has
-    one.
+    ``columns`` is a list of the user, title and cell code columns, and
+    then an int64 timestamp column with :data:`_NO_TIMESTAMP` for a missing
+    value, unless no visit has one.  ``vocabularies`` holds the user, title
+    and cell identifiers the codes index.  Any numbering will do: codes are
+    renumbered in order of first appearance, and identifiers no visit uses
+    are dropped.  The list is emptied, a column at a time, so that a raw
+    column no caller holds goes once renumbered.
     """
-    # One at a time, so a raw column no caller holds goes once renumbered.
-    user_ids, users = _first_appearance(vocabularies[0], users)
-    title_ids, titles = _first_appearance(vocabularies[1], titles)
-    cell_ids, cells = _first_appearance(vocabularies[2], cells)
+    user_ids, users = _first_appearance(vocabularies[0], columns.pop(0))
+    title_ids, titles = _first_appearance(vocabularies[1], columns.pop(0))
+    cell_ids, cells = _first_appearance(vocabularies[2], columns.pop(0))
+    timestamps = columns.pop() if columns else None
     if timestamps is None or (timestamps == _NO_TIMESTAMP).all():
         timestamps = np.zeros(0, dtype=np.int64)
     n_users, n_titles, n_cells = len(user_ids), len(title_ids), len(cell_ids)
@@ -787,60 +786,64 @@ def _parse(path, digest):
 
 def _read_sidecar(path, ctime):
     """The dataset the sidecar of the trace at ``path`` holds, or None for
-    a stale, damaged or crafted one: if it is not a regular file, if its
-    key is not the trace's (bound to ``ctime``, the trace's, or hashed), if
-    any :data:`_SIDECAR` member is missing or its ``.npy`` header gives
-    another dtype or length or no visits, or if a bounds array fails
-    :func:`_read_member`; the others are checked on first use."""
-    try:
-        # Not blocking, so that a FIFO at its path is a miss, not a hang.
-        handle = open(_sidecar(path), "rb", opener=lambda name, flags:
-                      os.open(name, flags | os.O_NONBLOCK))
-        info = os.fstat(handle.fileno())
-    except OSError:
-        _hashed(path)  # as every read but a bound one, with no sidecar too
-        return None
-    try:
-        hashed = (None if 0 != info.st_mtime_ns == ctime < info.st_ctime_ns
-                  else _hashed(path))
-    except BaseException:
-        handle.close()
-        raise
-    try:
+    a missing, stale, damaged or crafted one: not a regular file, a key not
+    the trace's (bound to ``ctime``, the trace's, or else hashed first), a
+    :data:`_SIDECAR` member missing or whose ``.npy`` header gives another
+    dtype or length or no visits, or a bounds array :func:`_read_member`
+    fails; the others are checked on first use."""
+    with ExitStack() as unread:  # closes the sidecar unless it is read
+        try:
+            # Not blocking, so that a FIFO at its path is a miss, not a hang.
+            handle = unread.enter_context(open(
+                _sidecar(path), "rb", opener=lambda name, flags:
+                os.open(name, flags | os.O_NONBLOCK)))
+            info = os.fstat(handle.fileno())
+        except OSError:
+            return None
         if not stat.S_ISREG(info.st_mode):
-            raise ValueError("not a regular file")
-        npz = np.lib.npyio.NpzFile(handle)
-        key = str(npz["key"])
-        if not key.startswith(_SIDECAR_KEY) or hashed not in (None, key):
-            raise ValueError("stale")
-        lengths = {}  # of each member, which must be 1-D
-        for name, (dtype, _, _) in _MEMBERS.items():
-            with npz.zip.open(name + ".npy") as member:
-                version = np.lib.format.read_magic(member)
-                (lengths[name],), _, stored = (
-                    np.lib.format.read_array_header_1_0 if version == (1, 0)
-                    else np.lib.format.read_array_header_2_0)(member)
-            if not (stored.kind == "S" if dtype == "S" else stored == dtype):
-                raise ValueError(f"{name} is not {dtype}")
-        if not (n := lengths["codes0"]):
-            raise ValueError("no visits")
-        sizes = {"visits": n, "stamps": n if lengths["timestamps"] else 0,
-                 "users": lengths["ids0"], "titles": lengths["ids1"],
-                 "cells": lengths["ids2"], "targets": lengths["target_cells"]}
-        arrays = {name: _read_member(npz, name, sizes)
-                  for name, (_, length, bound) in _MEMBERS.items()
-                  if bound and length.endswith("+1")}
-        # A bounds array's last entry sizes the arrays it bounds.
-        sizes.update((bound, int(arrays[name][-1]))
-                     for name, (_, length, bound) in _MEMBERS.items()
-                     if bound and length.endswith("+1"))
-        for name, (_, length, _) in _MEMBERS.items():
-            size, plus, _ = length.partition("+")
-            if lengths[name] != sizes[size] + bool(plus):
-                raise ValueError(f"{name} has another length")
-    except Exception:  # an unreadable sidecar
-        handle.close()
-        return None
+            return None
+        hashed = None  # the stored key is trusted if bound
+        if not 0 != info.st_mtime_ns == ctime < info.st_ctime_ns:
+            # Outside the catch-all below: a failed read fails the command.
+            import hashlib  # here, so that a bound hit does not load OpenSSL
+            with open(path, "rb") as raw:
+                hashed = _SIDECAR_KEY + hashlib.file_digest(
+                    raw, "sha256").hexdigest()
+        try:
+            npz = np.lib.npyio.NpzFile(handle)
+            key = str(npz["key"])
+            if not key.startswith(_SIDECAR_KEY) or hashed not in (None, key):
+                raise ValueError("stale")
+            lengths = {}  # of each member, which must be 1-D
+            for name, (dtype, _, _) in _MEMBERS.items():
+                with npz.zip.open(name + ".npy") as member:
+                    version = np.lib.format.read_magic(member)
+                    read = (np.lib.format.read_array_header_1_0
+                            if version == (1, 0)
+                            else np.lib.format.read_array_header_2_0)
+                    (lengths[name],), _, stored = read(member)
+                if stored.kind != "S" if dtype == "S" else stored != dtype:
+                    raise ValueError(f"{name} is not {dtype}")
+            if not (n := lengths["codes0"]):
+                raise ValueError("no visits")
+            sizes = {"visits": n, "stamps": n if lengths["timestamps"] else 0,
+                     "users": lengths["ids0"], "titles": lengths["ids1"],
+                     "cells": lengths["ids2"],
+                     "targets": lengths["target_cells"]}
+            arrays = {name: _read_member(npz, name, sizes)
+                      for name, (_, length, bound) in _MEMBERS.items()
+                      if bound and length.endswith("+1")}
+            # A bounds array's last entry sizes the arrays it bounds.
+            sizes.update((bound, int(arrays[name][-1]))
+                         for name, (_, length, bound) in _MEMBERS.items()
+                         if bound and length.endswith("+1"))
+            for name, (_, length, _) in _MEMBERS.items():
+                size, plus, _ = length.partition("+")
+                if lengths[name] != sizes[size] + bool(plus):
+                    raise ValueError(f"{name} has another length")
+        except Exception:  # an unreadable sidecar
+            return None
+        unread.pop_all()
     return TraceDataset(_Arrays(arrays, partial(_read_or_parse, npz, sizes,
                                                 path, key), n, handle.close))
 
@@ -960,23 +963,18 @@ def _replacing(paths):
 
 def load_trace(path):
     """:func:`parse_trace` through the file's sidecar, unhashed when bound
-    to the trace's ctime; a miss binds the one it writes (see the module)."""
+    to the trace's ctime.  A miss reads the trace once, hashing the bytes
+    as it parses them, and binds the sidecar it writes (see the module)."""
     path = Path(path)
-    if not path.is_file():
+    info = os.stat(path)  # fails where open would, with the same error
+    if not stat.S_ISREG(info.st_mode):
         return parse_trace(path)
-    return _read_sidecar(path, path.stat().st_ctime_ns) or _parsed(path)[0]
-
-
-def _hashed(path):
-    """The sidecar key of the trace's bytes."""
-    import hashlib  # here, so that a bound hit does not load OpenSSL
-    with open(path, "rb") as handle:
-        return _SIDECAR_KEY + hashlib.file_digest(handle, "sha256").hexdigest()
+    return _read_sidecar(path, info.st_ctime_ns) or _parsed(path)[0]
 
 
 def _parsed(path):
     """The miss: ``path`` parsed and kept in its sidecar, and the key of
-    the bytes parsed, which differ from those hashed if it was rewritten."""
+    the bytes parsed, hashed as they were read, for a caller to check."""
     import hashlib
     digest = hashlib.sha256()
     dataset, ctime = _parse(path, digest)
@@ -1019,6 +1017,17 @@ def write_trace(dataset, path):
     digest, written = _write_rows(dataset, path)
     if Path(path).is_file():
         _write_sidecar(dataset, Path(path), digest, written.st_ctime_ns)
+
+
+def _write_renamed(dataset, path):
+    """``prepush gen``'s write: the rows renamed into place, and a sidecar
+    bound if a stat after the rename shows the file written."""
+    with _replacing([path]) as (temp,):
+        digest, written = _write_rows(dataset, temp)
+    now = os.stat(path)
+    same = all(getattr(now, f) == getattr(written, f)
+               for f in ("st_ino", "st_size", "st_mtime_ns"))
+    _write_sidecar(dataset, path, digest, now.st_ctime_ns if same else 0)
 
 
 def _write_rows(dataset, path):

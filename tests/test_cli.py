@@ -1164,16 +1164,16 @@ def test_every_fault_fails_cleanly(tmp_path, monkeypatch, capsys, argv,
 #: gen in a child process whose row write signals the child once written.
 SIGNALLED_GEN = """
 import os, signal, sys
-from prepush import cli
+from prepush import cli, trace
 
-write = cli._write_rows
+write = trace._write_rows
 
 def write_then_signal(dataset, path):
     digest = write(dataset, path)
     os.kill(os.getpid(), signal.{})
     return digest
 
-cli._write_rows = write_then_signal
+trace._write_rows = write_then_signal
 sys.exit(cli.main(sys.argv[1:]))
 """
 

@@ -296,15 +296,22 @@ class TestParseBlocks:
         assert parse_trace(path) == plain
 
     def test_crlf_rows_over_many_row_blocks(self, tmp_path, monkeypatch):
-        # The per-line path hands on a block each _CHUNK_ROWS rows.
+        # A CRLF file goes by line after its header, a block of
+        # _CHUNK_CHARS characters (to the end of a line) at a time.
         rows = [f"u{i % 7},t{i % 5},c{i % 3},{i if i % 2 else ''}\n"
                 for i in range(40)]
         plain = parse_trace(write_text(tmp_path, HEADER + "".join(rows)))
         path = tmp_path / "crlf.csv"
         path.write_bytes((HEADER + "".join(rows)).replace(
             "\n", "\r\n").encode())
-        monkeypatch.setattr(trace, "_CHUNK_ROWS", 6)
-        assert parse_trace(path) == plain
+        monkeypatch.setattr(trace, "_CHUNK_CHARS", 40)
+        with mock.patch.object(trace, "_add_lines",
+                               wraps=trace._add_lines) as by_line:
+            assert parse_trace(path) == plain
+        # The header's call, then one a block of rows: at least two.
+        lines_before = [call.args[3] for call in by_line.call_args_list]
+        assert lines_before[0] == 0 and all(lines_before[1:])
+        assert len(lines_before) >= 3
 
     @pytest.mark.parametrize("form", sorted(ODD_FORMS) + ["long_id"])
     def test_odd_row_sends_only_its_block_by_line(self, tmp_path, lines,
@@ -976,14 +983,18 @@ class TestLoadTrace:
     def test_rewrite_between_hash_and_parse(self, tmp_path, monkeypatch):
         # The trace changes after load_trace hashes it and before it is
         # parsed, then changes back: the sidecar must not hold the other
-        # bytes' dataset under the restored bytes' key.
+        # bytes' dataset under the restored bytes' key.  Only a read beside
+        # an unbound regular sidecar, here another trace's, hashes first.
         def rewrite(handle, name):
             digest = file_digest(handle, name)
             path.write_text(HEADER + "u1,t9,c1,\n", encoding="utf-8")
             return digest
 
         before = HEADER + "u1,t1,c1,\nu2,t1,c2,\n"
-        path = write_text(tmp_path, before)
+        path = write_text(tmp_path, HEADER + "u3,t3,c3,\n")
+        trace.load_trace(path)
+        path.write_text(before, encoding="utf-8")
+        assert not is_bound(path)
         file_digest = hashlib.file_digest
         with monkeypatch.context() as patch:
             patch.setattr(hashlib, "file_digest", rewrite)
@@ -1332,8 +1343,9 @@ def is_bound(path):
 
 
 class TestBinding:
-    """A sidecar bound to its trace's ctime is read without a hash; any
-    other read hashes the trace first."""
+    """A sidecar bound to its trace's ctime is read without a hash; a read
+    beside any other regular sidecar hashes the trace first, and a miss
+    hashes it only as it parses."""
 
     @pytest.fixture
     def hashes(self, monkeypatch):
@@ -1418,7 +1430,7 @@ class TestBinding:
         want = parse_trace(path)
         with mock.patch.object(trace, "_parse", refuse_parse):
             assert_same_fields(trace.load_trace(path), want)
-        assert hashes == [str(path)] * 2  # the miss's, then the hit's
+        assert hashes == [str(path)]  # the hit's: the miss hashed as it read
 
     def test_a_rewrite_as_a_miss_reads_leaves_it_unbound(
             self, tmp_path, monkeypatch, hashes):
@@ -1440,7 +1452,42 @@ class TestBinding:
         want = parse_trace(path)
         with mock.patch.object(trace, "_parse", refuse_parse):
             assert_same_fields(trace.load_trace(path), want)
-        assert hashes == [str(path)] * 2
+        assert hashes == [str(path)]
+
+    def test_a_miss_reads_the_trace_once(self, tmp_path, monkeypatch,
+                                         hashes):
+        # With no sidecar, the trace is opened once, and its key hashed
+        # from the bytes as they are parsed.
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return open(file, *args, **kwargs)
+
+        path = self.stamped(tmp_path, "write_trace")
+        sidecar_of(path).unlink()
+        opened = []
+        with monkeypatch.context() as patch:
+            patch.setattr(trace, "open", counting_open, raising=False)
+            dataset = trace.load_trace(path)
+        assert opened.count(str(path)) == 1
+        assert hashes == []
+        assert_same_fields(dataset, parse_trace(path))
+        with np.load(sidecar_of(path)) as npz:
+            assert str(npz["key"]) == trace._SIDECAR_KEY + hashlib.sha256(
+                path.read_bytes()).hexdigest()
+        assert is_bound(path)
+
+    @pytest.mark.parametrize("make", [os.mkfifo, os.mkdir],
+                             ids=["fifo", "directory"])
+    def test_a_sidecar_path_not_a_regular_file_costs_no_hash(
+            self, tmp_path, hashes, make):
+        path = self.stamped(tmp_path, "write_trace")
+        sidecar_of(path).unlink()
+        make(sidecar_of(path))
+        want = parse_trace(path)
+        for _ in range(2):
+            assert_same_fields(trace.load_trace(path), want)
+        assert hashes == []
+        assert not sidecar_of(path).is_file()
 
     def test_a_sidecar_rewritten_as_it_was_bound_is_hashed(
             self, tmp_path, monkeypatch, hashes):
