@@ -24,11 +24,11 @@ one.  Its mtime binds it to the trace's ctime C with those bytes: C if
 older than the sidecar's write (git's racy-clean rule), else 0.  A read
 trusts the stored key if that mtime is the trace's ctime and older than
 the sidecar's own ctime, which a rewrite moves; any other read beside a
-regular sidecar hashes the trace, and binds nothing.  Later reads build
-nothing: they check the key and every array's header, and read the bounds
-arrays; every other array, a vocabulary too, is made by reading it, its
-CRC and values checked.  A stale, damaged or inconsistent sidecar is
-parsed over, up front or on that first use; any may be deleted.
+regular sidecar of this layout hashes the trace, and binds nothing.  Later
+reads build nothing: up front they read only the key and the sizes; every
+array, a vocabulary too, is made by reading it, its CRC, dtype, length and
+values checked.  A stale, damaged or inconsistent sidecar is parsed over,
+up front or on that first use; any may be deleted.
 
 Trace file format: UTF-8 text, one header line ``user_id,title_id,cell_id,
 timestamp``, comma-delimited rows, empty timestamp field allowed.
@@ -89,15 +89,15 @@ _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 #: The place values of a timestamp's digits, ones first.
 _PLACES = 10 ** np.arange(18, dtype=np.int64)
 #: A sidecar's key before the sha256: bump it if the layout or parse changes.
-_SIDECAR_KEY = "prepush sidecar 4 sha256 "
+_SIDECAR_KEY = "prepush sidecar 5 sha256 "
 #: The arrays a dataset is built from, as a sidecar stores them after its
-#: key: name, dtype, length and the exclusive bound of its values.  Both
-#: are sizes: of the visits, of each vocabulary, of the timestamps (the
-#: visits, or 0 for none), of the target cells, or the last entry of a
-#: bounds array, which is ``+1`` long and runs strictly up from 0 to its
-#: bound.  A dataset's :class:`_Arrays` makes a member it does not hold yet
-#: on first use, one thread at a time: those from ``ranked_bounds`` on are
-#: :func:`_planning`'s.
+#: key and sizes: name, dtype, length and the exclusive bound of its
+#: values.  Both are sizes: of the visits, of each vocabulary, of the
+#: timestamps (the visits, or 0 for none), of the target cells, or the last
+#: entry of a bounds array, which is ``+1`` long and runs strictly up from
+#: 0 to its bound.  A dataset's :class:`_Arrays` makes a member it does not
+#: hold yet on first use, one thread at a time: those from ``ranked_bounds``
+#: on are :func:`_planning`'s.
 _SIDECAR = (
     ("ids0", "S", "users", None),
     ("ids1", "S", "titles", None),
@@ -123,6 +123,9 @@ _SIDECAR = (
     ("title_cells", np.int64, "titles", None),
 )
 _MEMBERS = {name: spec for name, *spec in _SIDECAR}
+#: The sizes, in the order of a sidecar's ``sizes`` member.
+_SIZES = tuple(dict.fromkeys(length.removesuffix("+1")
+                             for _, _, length, _ in _SIDECAR))
 
 
 @dataclass(frozen=True, slots=True)
@@ -582,9 +585,9 @@ def build_indexes(records):
 
 
 def _add_rows(columns, rows):
-    """Append a block of rows (the last newline optional) and return True
-    if each is three identifiers and a timestamp of at most 18 digits (so
-    it fits int64) or none; else append nothing and return False.  Text
+    """Append a block of rows (the last newline optional) and return their
+    number if each is three identifiers and a timestamp of at most 18
+    digits (so it fits int64) or none; else append nothing and return 0.  Text
     that is not ASCII fails, as do a field :mod:`csv` refuses and keys
     that would outgrow 16 times the block.
 
@@ -595,7 +598,7 @@ def _add_rows(columns, rows):
     data = rows.encode("utf-8", "surrogateescape").removesuffix(b"\n") + b"\n"
     if (data.translate(None, _ID_BYTES) != b",,,\n" * data.count(b"\n")
             or b",," in data or b"\n," in data or data.startswith(b",")):
-        return False
+        return 0
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -605,7 +608,7 @@ def _add_rows(columns, rows):
     # block's bytes, csv reads the block as fast, in far less memory.
     if (longest * len(sizes) > 16 * len(data)
             or longest > csv.field_size_limit()):
-        return False
+        return 0
     # Padding by the longest field keeps every window read inside the buffer.
     buf = np.frombuffer(data + bytes(longest + 8), np.uint8)
     stamps = np.full(len(starts), _NO_TIMESTAMP, dtype=np.int64)
@@ -613,13 +616,13 @@ def _add_rows(columns, rows):
     if len(given):
         size = sizes[given, 3]
         if size.max() > 18:
-            return False
+            return 0
         at = np.arange(size.max())
         place = size[:, None] - 1 - at
         digits = buf[starts[given, 3, None] + at] - ord("0")
         digits[place < 0] = 0
         if (digits > 9).any():
-            return False
+            return 0
         stamps[given] = (digits * _PLACES[place.clip(0)]).sum(axis=1)
     window = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
     for kind, (codes, blocks) in enumerate(zip(columns.codes, columns.blocks)):
@@ -637,7 +640,7 @@ def _add_rows(columns, rows):
         blocks.append(np.empty(len(order), dtype=np.int32))
         blocks[-1][order] = local[np.cumsum(new) - 1]
     columns.blocks[3].append(stamps)
-    return True
+    return len(stamps)
 
 
 def _all_identifiers(ids):
@@ -721,10 +724,8 @@ def _add_blocks(columns, handle, path):
     lines_before = (1 if block == _HEADER_LINE
                     else _add_lines(columns, block, handle, 0))
     while block := handle.read(_CHUNK_CHARS) + handle.readline():
-        if _add_rows(columns, block):
-            lines_before += len(columns.blocks[3][-1])  # one stamp a row
-        else:
-            lines_before += _add_lines(columns, block, handle, lines_before)
+        lines_before += (_add_rows(columns, block)
+                         or _add_lines(columns, block, handle, lines_before))
 
 
 def parse_trace(path):
@@ -786,11 +787,10 @@ def _parse(path, digest):
 
 def _read_sidecar(path, ctime):
     """The dataset the sidecar of the trace at ``path`` holds, or None for
-    a missing, stale, damaged or crafted one: not a regular file, a key not
-    the trace's (bound to ``ctime``, the trace's, or else hashed first), a
-    :data:`_SIDECAR` member missing or whose ``.npy`` header gives another
-    dtype or length or no visits, or a bounds array :func:`_read_member`
-    fails; the others are checked on first use."""
+    a missing, stale, damaged or crafted one: not a regular file, its key
+    or sizes missing, a key of another layout or not the trace's (bound to
+    ``ctime``, the trace's, or else hashed last), or sizes no trace gives;
+    every :data:`_SIDECAR` member is checked on first use."""
     with ExitStack() as unread:  # closes the sidecar unless it is read
         try:
             # Not blocking, so that a FIFO at its path is a miss, not a hang.
@@ -802,60 +802,43 @@ def _read_sidecar(path, ctime):
             return None
         if not stat.S_ISREG(info.st_mode):
             return None
-        hashed = None  # the stored key is trusted if bound
-        if not 0 != info.st_mtime_ns == ctime < info.st_ctime_ns:
-            # Outside the catch-all below: a failed read fails the command.
-            import hashlib  # here, so that a bound hit does not load OpenSSL
-            with open(path, "rb") as raw:
-                hashed = _SIDECAR_KEY + hashlib.file_digest(
-                    raw, "sha256").hexdigest()
         try:
             npz = np.lib.npyio.NpzFile(handle)
-            key = str(npz["key"])
-            if not key.startswith(_SIDECAR_KEY) or hashed not in (None, key):
-                raise ValueError("stale")
-            lengths = {}  # of each member, which must be 1-D
-            for name, (dtype, _, _) in _MEMBERS.items():
-                with npz.zip.open(name + ".npy") as member:
-                    version = np.lib.format.read_magic(member)
-                    read = (np.lib.format.read_array_header_1_0
-                            if version == (1, 0)
-                            else np.lib.format.read_array_header_2_0)
-                    (lengths[name],), _, stored = read(member)
-                if stored.kind != "S" if dtype == "S" else stored != dtype:
-                    raise ValueError(f"{name} is not {dtype}")
-            if not (n := lengths["codes0"]):
-                raise ValueError("no visits")
-            sizes = {"visits": n, "stamps": n if lengths["timestamps"] else 0,
-                     "users": lengths["ids0"], "titles": lengths["ids1"],
-                     "cells": lengths["ids2"],
-                     "targets": lengths["target_cells"]}
-            arrays = {name: _read_member(npz, name, sizes)
-                      for name, (_, length, bound) in _MEMBERS.items()
-                      if bound and length.endswith("+1")}
-            # A bounds array's last entry sizes the arrays it bounds.
-            sizes.update((bound, int(arrays[name][-1]))
-                         for name, (_, length, bound) in _MEMBERS.items()
-                         if bound and length.endswith("+1"))
-            for name, (_, length, _) in _MEMBERS.items():
-                size, plus, _ = length.partition("+")
-                if lengths[name] != sizes[size] + bool(plus):
-                    raise ValueError(f"{name} has another length")
+            key, stored = str(npz["key"]), npz["sizes"]
+            if stored.dtype != np.int64 or stored.shape != (len(_SIZES),):
+                raise ValueError("sizes of another layout")
+            sizes = dict(zip(_SIZES, stored.tolist()))
         except Exception:  # an unreadable sidecar
             return None
+        visits = sizes["visits"]
+        if not (key.startswith(_SIDECAR_KEY) and min(sizes.values()) >= 0
+                and visits > 0 and sizes["stamps"] in (0, visits)):
+            return None
+        if not 0 != info.st_mtime_ns == ctime < info.st_ctime_ns:
+            # Outside the catch-all above: a failed read fails the command.
+            import hashlib  # here, so that a bound hit does not load OpenSSL
+            with open(path, "rb") as raw:
+                if key != _SIDECAR_KEY + hashlib.file_digest(
+                        raw, "sha256").hexdigest():
+                    return None
         unread.pop_all()
-    return TraceDataset(_Arrays(arrays, partial(_read_or_parse, npz, sizes,
-                                                path, key), n, handle.close))
+    return TraceDataset(_Arrays({}, partial(_read_or_parse, npz, sizes, path,
+                                            key), visits, handle.close))
 
 
 def _read_member(npz, name, sizes):
     """Member ``name``, read through the zip, which checks its CRC;
-    ValueError unless its values are a trace's: a vocabulary's identifiers,
-    a bounds array's strictly rising from 0, ``ranked_targets`` counting up
-    by 0 or 1 to the entries, and any other bounded one's under its bound
-    in ``sizes`` (see :data:`_SIDECAR`)."""
+    ValueError unless it has its dtype and its length in ``sizes``, and
+    its values are a trace's: a vocabulary's identifiers, a bounds array's
+    strictly rising from 0 to its bound, ``ranked_targets`` counting up by
+    0 or 1 to the entries, and any other bounded one's under its bound
+    (see :data:`_SIDECAR`)."""
     dtype, length, bound = _MEMBERS[name]
     array = npz[name]
+    size, plus, _ = length.partition("+")
+    if array.shape != (sizes[size] + bool(plus),) or (
+            array.dtype.kind != "S" if dtype == "S" else array.dtype != dtype):
+        raise ValueError(f"{name} is not {length} of {dtype}")
     if dtype == "S":
         array = array.astype(str).astype(object)
         valid = _all_identifiers(array) and len(set(array)) == len(array)
@@ -865,11 +848,11 @@ def _read_member(npz, name, sizes):
         valid = (array[0] == 0 and array[-1] == sizes["targets"]
                  and 0 <= steps.min() and steps.max() <= 1)
     else:
-        # An empty index array, as of no visits, raises: a miss too.
+        # An empty index array raises: a miss too.
         valid = not bound or (
             array[0] == 0 and (np.diff(array) > 0).all()
-            if length.endswith("+1")
-            else 0 <= array.min() and array.max() < sizes[bound])
+            and array[-1] == sizes[bound]
+            if plus else 0 <= array.min() and array.max() < sizes[bound])
     if not valid:
         raise ValueError(f"{name} holds values no trace gives")
     return array
@@ -996,10 +979,12 @@ def _write_sidecar(dataset, path, digest, ctime):
             # Built once the file is open, and stored so that no hit builds
             # them, with every array, an empty one for no timestamps: a zip
             # directory can lose a member, but each member's CRC is checked.
-            a = dataset._arrays
-            np.savez(handle, key=_SIDECAR_KEY + digest.hexdigest(), **{
-                name: np.asarray(a[name], dtype)
-                for name, dtype, *_ in _SIDECAR})
+            a = {name: np.asarray(dataset._arrays[name], dtype)
+                 for name, dtype, *_ in _SIDECAR}
+            lengths = {length: len(a[name]) for name, _, length, _ in _SIDECAR}
+            np.savez(handle, key=_SIDECAR_KEY + digest.hexdigest(),
+                     sizes=np.array([lengths[size] for size in _SIZES],
+                                    np.int64), **a)
         os.chmod(temp, os.stat(path).st_mode & 0o666)
         written = os.stat(temp).st_mtime_ns  # bound if ctime is older
         os.utime(temp, ns=(written, ctime if ctime < written else 0))

@@ -723,9 +723,9 @@ def test_commands_build_no_view(tmp_path, monkeypatch):
     run_commands(tmp_path, path, "miss")
 
 
-#: The sidecar members a hit reads before any use: the bounds arrays,
-#: whose last entries size the other members.
-UP_FRONT = {"user_cell_bounds", "ranked_bounds"}
+#: The sidecar members a hit reads before any use: none, since the key
+#: and the sizes are read without ``_read_member``.
+UP_FRONT = set()
 CODES = {"codes0", "codes1", "codes2"}
 MEMBERS = [name for name, *_ in trace._SIDECAR]
 TABLES = set(MEMBERS[MEMBERS.index("ranked_bounds"):])

@@ -439,7 +439,7 @@ class TestBlockCheck:
     @settings(max_examples=300, deadline=None)
     def test_accepts_what_the_grammar_matches(self, rows):
         block = "".join(rows)
-        assert trace._add_rows(trace._Columns(), block) == bool(
+        assert bool(trace._add_rows(trace._Columns(), block)) == bool(
             oracle.ROWS_RE.fullmatch(block))
 
     @given(st.lists(identifiers | st.text(max_size=3), max_size=6))
@@ -1027,7 +1027,9 @@ class TestLoadTrace:
         "bounds_not_monotone", "bounds_repeat", "bounds_from_one",
         "bounds_past_end", "targets_skip", "targets_descend",
         "targets_from_one", "targets_wrong_end", "cell_counts_dropped",
-        "empty_id", "comma_id", "repeated_id",
+        "empty_id", "comma_id", "repeated_id", "sizes_dropped", "sizes_float",
+        "sizes_short", "sizes_negative", "sizes_one_more_user",
+        "sizes_no_visits", "sizes_partial_stamps",
     ])
     def test_bad_sidecar_is_a_miss_and_rewritten(self, tmp_path, damage):
         records = make_random_records(seeded_rng(35), with_timestamps=True)
@@ -1148,8 +1150,30 @@ class TestLoadTrace:
             ids[1] = {"empty_id": b"", "comma_id": ids[1] + b",x",
                       "repeated_id": ids[0]}[damage]
             self.rewrite(sidecar, **{f"ids{kind}": np.array(ids)})
+        elif damage == "sizes_dropped":
+            self.rewrite(sidecar, drop=("sizes",))
+        elif damage == "sizes_float":
+            self.rewrite(sidecar, sizes=stored["sizes"].astype(float))
+        elif damage == "sizes_short":
+            self.rewrite(sidecar, sizes=stored["sizes"][:-1])
+        else:
+            sizes = dict(zip(trace._SIZES, stored["sizes"].tolist()))
+            if damage == "sizes_negative":
+                sizes["targets"] = -1
+            elif damage == "sizes_one_more_user":
+                sizes["users"] += 1
+            elif damage == "sizes_no_visits":
+                sizes.update(visits=0, stamps=0)
+            else:  # fewer timestamps than visits, each member's length kept
+                sizes["stamps"] -= 1
+                stored["timestamps"] = stored["timestamps"][:-1]
+            self.rewrite(sidecar, timestamps=stored["timestamps"],
+                         sizes=np.array(list(sizes.values())))
         assert sidecar.read_bytes() != good
         dataset = trace.load_trace(path)
+        if damage.startswith("sizes_") and damage != "sizes_one_more_user":
+            # Sizes no trace gives are found before any member is read.
+            assert sidecar.read_bytes() == good
         assert dataset == build_indexes(records)
         # Each member is checked on its first read.
         for name, *_ in trace._SIDECAR:
@@ -1344,8 +1368,10 @@ def is_bound(path):
 
 class TestBinding:
     """A sidecar bound to its trace's ctime is read without a hash; a read
-    beside any other regular sidecar hashes the trace first, and a miss
-    hashes it only as it parses."""
+    beside any other regular sidecar of this layout hashes the trace once
+    its key and sizes are read, one that cannot match (unreadable, or of
+    another layout) is a miss without a hash, and a miss hashes the trace
+    only as it parses."""
 
     @pytest.fixture
     def hashes(self, monkeypatch):
@@ -1474,6 +1500,34 @@ class TestBinding:
         with np.load(sidecar_of(path)) as npz:
             assert str(npz["key"]) == trace._SIDECAR_KEY + hashlib.sha256(
                 path.read_bytes()).hexdigest()
+        assert is_bound(path)
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated",
+                                        "other_layout"])
+    def test_a_sidecar_that_cannot_match_costs_no_hash(
+            self, tmp_path, monkeypatch, hashes, damage):
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return open(file, *args, **kwargs)
+
+        path = self.stamped(tmp_path, "write_trace")
+        sidecar = sidecar_of(path)
+        good = sidecar.read_bytes()
+        if damage == "garbage":
+            sidecar.write_bytes(bytes(range(256)) * 8)
+        elif damage == "truncated":
+            sidecar.write_bytes(good[:len(good) // 2])
+        else:  # the key this layout stores, under the version before it
+            TestLoadTrace.rewrite(sidecar, key=trace._SIDECAR_KEY.replace(
+                " 5 ", " 4 ") + hashlib.sha256(path.read_bytes()).hexdigest())
+        assert not is_bound(path)
+        opened = []
+        with monkeypatch.context() as patch:
+            patch.setattr(trace, "open", counting_open, raising=False)
+            dataset = trace.load_trace(path)
+        assert opened.count(str(path)) == 1
+        assert hashes == []
+        assert_same_fields(dataset, parse_trace(path))
         assert is_bound(path)
 
     @pytest.mark.parametrize("make", [os.mkfifo, os.mkdir],
