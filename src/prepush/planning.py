@@ -212,11 +212,10 @@ def sweep_coverage(dataset, title, grid=DEFAULT_COVERAGE_GRID):
     if grid is not DEFAULT_COVERAGE_GRID:
         grid = tuple(grid)
         _validate_fraction_grid(grid, "coverage grid", low_open=True)
-    broadcast, missed = dataset._targeting(title, grid)
-    costs = tuple(map(add, broadcast, missed))
+    costs, visits = dataset._targeting(title, grid)
+    costs = tuple(costs)
     best = costs.index(min(costs))
-    return CoverageSweep(title, grid, costs, dataset.title_visits[title],
-                         grid[best], costs[best])
+    return CoverageSweep(title, grid, costs, visits, grid[best], costs[best])
 
 
 def titles_by_popularity(dataset):

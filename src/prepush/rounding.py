@@ -29,21 +29,20 @@ _RATIONALS = {}
 
 def _resolve(fraction):
     """``(numerator, denominator)`` of the simplest rational whose nearest
-    double is ``fraction``, or a tuple of them for a tuple of fractions,
-    remembered in :data:`_RATIONALS`."""
+    double is ``fraction``, in [0, 1] as every caller checks, or a tuple of
+    them for a tuple of fractions, remembered in :data:`_RATIONALS`."""
     if isinstance(fraction, tuple):
         ratio = tuple(_RATIONALS.get(f) or _resolve(f) for f in fraction)
     elif fraction == 0:
         ratio = 0, 1
     else:
-        x = abs(float(fraction))
+        x = float(fraction)
         # Every real strictly between the midpoints to the neighbouring
         # doubles rounds to x; the midpoints themselves are never simplest.
         below = (Fraction(math.nextafter(x, 0)) + Fraction(x)) / 2
         above = (Fraction(math.nextafter(x, math.inf)) + Fraction(x)) / 2
         simplest = _simplest_between(below, above)
-        sign = -1 if fraction < 0 else 1
-        ratio = sign * simplest.numerator, simplest.denominator
+        ratio = simplest.numerator, simplest.denominator
     if len(_RATIONALS) >= 4096:
         _RATIONALS.clear()
     _RATIONALS[fraction] = ratio

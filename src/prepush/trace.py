@@ -57,7 +57,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from operator import attrgetter
 from pathlib import Path
 
@@ -86,6 +86,8 @@ _NO_TIMESTAMP = -1
 _MAX_TIMESTAMP = int(np.iinfo(np.int64).max)
 #: Masks that keep a little-endian word's first 0 to 8 bytes.
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+#: The odd multiplier that mixes an identifier's words into one sort key.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 #: The place values of a timestamp's digits, ones first.
 _PLACES = 10 ** np.arange(18, dtype=np.int64)
 #: A sidecar's key before the sha256: bump it if the layout or parse changes.
@@ -305,15 +307,13 @@ class TraceDataset:
 
     @cached_property
     def _title_index(self):
-        """The one-title queries' tables, read a Python object at a time:
-        each title id's code, by code its ranked bounds and visits, the cell
-        ids, and memoryviews of ``ranked_{targets,covered}, target_cells``."""
+        """What :meth:`_targeting` reads, a Python object at a time: each
+        title id's code, by code its ranked bounds and visits, and
+        memoryviews of ``ranked_targets`` and ``ranked_covered``."""
         a = self._arrays
         return (_IdMap("title", zip(a["ids1"].tolist(), itertools.count())),
                 a["ranked_bounds"].tolist(), a["title_counts"].tolist(),
-                a["ids2"].tolist(), *map(memoryview, (
-                    a["ranked_targets"], a["ranked_covered"],
-                    a["target_cells"])))
+                *map(memoryview, (a["ranked_targets"], a["ranked_covered"])))
 
     def _title_code(self, title):
         return self._title_index[0][title]
@@ -333,26 +333,29 @@ class TraceDataset:
         title's ``n`` ranked visitors, from ranked position s; coverage 0
         targets none.  Their cells are the table entries first reached
         before position ``s + k``, so each coverage is two reads of each
-        prefix column.  Returns the number of target cells and the title's
-        visits in no target cell: each an int for one coverage, or a list
-        with one entry per coverage for a tuple.
+        prefix column.  For one coverage, returns the number of target cells
+        and the title's visits in no target cell.  For a tuple, returns a
+        list with each coverage's total of the two, and the title's visits.
         """
-        codes, ranked, visits, _, targets, covered, _ = self._title_index
+        codes, ranked, visits, targets, covered = self._title_index
         code = codes[title]
         start, stop = ranked[code:code + 2]
         top, offset = targets[start], visits[code] + covered[start]
         if isinstance(coverage, tuple):
             ends = [start + k for k in ceil_counts(coverage, stop - start)]
-            return ([targets[end] - top for end in ends],
-                    [offset - covered[end] for end in ends])
+            base = offset - top
+            return ([base + targets[end] - covered[end] for end in ends],
+                    visits[code])
         end = start + ceil_count(coverage, stop - start)
         return targets[end] - top, offset - covered[end]
 
     def _target_cells(self, title, n_cells):
-        """The title's first ``n_cells`` target cells, as a frozenset."""
-        _, ranked, _, names, targets, _, cells = self._title_index
-        top = targets[ranked[self._title_code(title)]]
-        return frozenset(map(names.__getitem__, cells[top:top + n_cells]))
+        """The title's first ``n_cells`` target cells, as a frozenset, read
+        from ``ids2`` and ``target_cells``, which no costing reads."""
+        index, a = self._title_index, self._arrays
+        top = index[3][index[1][index[0][title]]]  # ranked_targets[start]
+        cells = a["target_cells"][top:top + n_cells]
+        return frozenset(a["ids2"][cells].tolist())
 
     def __eq__(self, other):
         if not isinstance(other, TraceDataset):
@@ -593,7 +596,9 @@ def _add_rows(columns, rows):
 
     An identifier's key is its bytes zero-padded to whole little-endian
     8-byte words (identifiers hold no NUL), so the block's distinct keys
-    come from one sort and only those are looked up in the vocabulary.
+    come from one sort, of the words mixed by :data:`_MIX`, and only those
+    are looked up in the vocabulary; the runs compare every word, so keys
+    that mix alike cost a second lookup of a name, never a wrong code.
     """
     data = rows.encode("utf-8", "surrogateescape").removesuffix(b"\n") + b"\n"
     if (data.translate(None, _ID_BYTES) != b",,,\n" * data.count(b"\n")
@@ -629,9 +634,8 @@ def _add_rows(columns, rows):
         start, size = starts[:, kind], sizes[:, kind]
         words = np.stack([window[start + at] & _MASKS[(size - at).clip(0, 8)]
                           for at in range(0, size.max(), 8)])
-        # Equal keys end up side by side; one unstable sort for one word.
-        order = (np.lexsort(words[::-1]) if len(words) > 1
-                 else words[0].argsort())
+        # Equal keys end up side by side: one sort of the words' mix.
+        order = reduce(lambda key, word: key * _MIX + word, words).argsort()
         words = words[:, order]
         new = np.r_[True, (words[:, 1:] != words[:, :-1]).any(axis=0)]
         names = np.ascontiguousarray(words[:, new].T, dtype="<u8").view(
@@ -890,9 +894,6 @@ class _Arrays(Mapping):
 
     def __len__(self):
         return len(_MEMBERS)
-
-    def __contains__(self, name):
-        return name in _MEMBERS
 
     def __getitem__(self, name):
         with self._lock:

@@ -7,6 +7,7 @@ import shutil
 import signal
 import stat
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import fields
 from fractions import Fraction
@@ -22,6 +23,7 @@ from prepush import (
     SynthParams,
     TraceDataset,
     cli,
+    estimate_target_cells,
     geo_concentration_profile,
     parse_trace,
     planning,
@@ -664,9 +666,11 @@ class TestDeterminism:
                     "--output", str(tmp_path / "sweep"), "--titles", "1"]) == 0
 
 
-#: The dataset's maps built on first use: no command needs them.
-VIEWS = ("title_cell_visits", "user_cell_visits", "user_top_cell",
-         "user_rank", "title_users", "records")
+#: The dataset's maps built on first use: no command needs them, not even
+#: a map of visit counts.
+VIEWS = ("title_visits", "user_visits", "title_cell_visits",
+         "user_cell_visits", "user_top_cell", "user_rank", "title_users",
+         "records")
 
 #: One run of each command, each mode of plan once.
 COMMANDS = (
@@ -736,7 +740,7 @@ TABLES = set(MEMBERS[MEMBERS.index("ranked_bounds"):])
     (["plan", "--mode", "perfect"], CODES | {"ids0", "ids2"}),
     (["plan", "--mode", "assumed"], CODES | {"ids0", "ids2"}),
     (["plan", "--mode", "limited"], CODES | {"ids0", "ids2"}),
-    (["sweep"], CODES | {"ids0"}),
+    (["sweep"], CODES | {"ids0", "ids2", "target_cells"}),
 ])
 def test_a_hit_reads_only_the_members_its_command_uses(
         tmp_path, monkeypatch, argv, unread):
@@ -791,7 +795,11 @@ def test_damage_found_on_first_use_is_parsed_over(tmp_path, damage):
             np.savez(handle, **{**stored, damage: array})
     assert sidecar.read_bytes() != good
     with mock.patch.object(trace, "_parse", refuse_parse):
-        trace.load_trace(path)  # a hit: the damage shows on first use
+        hit = trace.load_trace(path)  # a hit: the damage shows on first use
+    if damage == "target_cells":  # which no command reads
+        title = titles_by_popularity(hit)[0]
+        assert estimate_target_cells(hit, title, 1.0) == (
+            estimate_target_cells(trace.parse_trace(path), title, 1.0))
     assert hit_outputs(tmp_path, path, "damaged") == clean
     assert sidecar.read_bytes() == good
 
@@ -1004,6 +1012,48 @@ class TestSidecar:
         assert stat.S_ISFIFO(sidecar_of(path).stat().st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             ".trace.csv.prepush.npz", "clean", "fifo", "trace.csv"]
+
+    def test_trace_that_is_a_fifo_is_parsed_and_gets_no_sidecar(
+            self, tmp_path):
+        # A path that is not a regular file has no ctime to bind a sidecar
+        # to, and may not give the same bytes twice.
+        @contextmanager
+        def fed(fifo, data):
+            def hung(*args):
+                pytest.fail("blocked on the FIFO")
+
+            def write():
+                with open(fifo, "wb") as handle:
+                    handle.write(data)
+
+            writer = threading.Thread(target=write, daemon=True)
+            writer.start()
+            previous = signal.signal(signal.SIGALRM, hung)
+            signal.alarm(10)
+            try:
+                yield
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+        path = gen_trace(tmp_path)
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        with fed(fifo, path.read_bytes()):
+            assert trace.load_trace(fifo) == parse_trace(path)
+        assert run(["stats", "--input", str(path),
+                    "--output", str(tmp_path / "regular")]) == 0
+        with fed(fifo, path.read_bytes()):
+            assert run(["stats", "--input", str(fifo),
+                        "--output", str(tmp_path / "fifo")]) == 0
+        outputs = [{p.name: p.read_bytes()
+                    for p in (tmp_path / name).iterdir()}
+                   for name in ("regular", "fifo")]
+        assert outputs[0] == outputs[1] and outputs[0]
+        assert not sidecar_of(fifo).exists()
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
     def test_failed_parse_writes_no_sidecar(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"

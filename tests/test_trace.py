@@ -477,6 +477,24 @@ class TestBlockCheck:
                 assert [(r.user_id, r.title_id, r.cell_id, r.timestamp)
                         for r in parse_trace(path).records] == want
 
+    def test_ids_whose_keys_mix_alike_keep_their_own_codes(self, tmp_path,
+                                                            monkeypatch):
+        # With a zero multiplier an id's sort key is its last word, so every
+        # id of two or more words ending "shared_x" has the same key.
+        rng = seeded_rng(30)
+        rows = [f"{rng.randrange(9):08d}shared_u,{rng.randrange(5):08d}"
+                f"shared_t,{rng.randrange(3):016d}shared_c,{i}\n"
+                for i in range(300)]
+        text = HEADER + "".join(rows) + WORD_EDGE_TEXT.removeprefix(HEADER)
+        path = write_text(tmp_path, text)
+        monkeypatch.setattr(trace, "_MIX", np.uint64(0))
+        with mock.patch.object(trace, "_add_lines",
+                               wraps=trace._add_lines) as by_line:
+            records = parse_trace(path).records
+        assert by_line.call_count == 0
+        assert [(r.user_id, r.title_id, r.cell_id, r.timestamp)
+                for r in records] == oracle.read_trace(text)
+
 
     def test_bad_byte_past_the_block_names_its_line(self, tmp_path):
         # Line 8, not the record's last line: the third of its lines that
